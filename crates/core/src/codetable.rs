@@ -32,8 +32,9 @@ const GEN_BITS: u32 = 30;
 /// Lazily filled, generation-stamped memo of convention-code
 /// classifications for one label at a time.
 ///
-/// A table caches derivations of one [`Scheme`]'s key; use a separate
-/// table per scheme (the embedder/detector scratch does exactly that).
+/// A table caches derivations of one [`Scheme`]'s key at a time; when a
+/// different scheme drives it (the per-thread session scratch serves
+/// every config that thread runs) the fingerprint stamp invalidates it.
 #[derive(Debug, Clone)]
 pub struct CodeTable {
     /// `(generation << 2) | classification` per `lsb(m, γ)` value;

@@ -22,13 +22,14 @@ pub mod multihash;
 pub mod quadres;
 
 /// Reusable hot-path state threaded through [`SubsetEncoder::embed_with`]
-/// and [`SubsetEncoder::detect_with`]. The embedder and detector each own
-/// one for the lifetime of the stream, so the steady-state encode path
-/// reuses the per-label code memo and performs no per-call heap
-/// allocation for its working buffers. Reuse across labels *and* schemes
-/// is safe: every memo layer is stamped with the owning
-/// [`Scheme::memo_fingerprint`] and invalidates when a different scheme
-/// drives it.
+/// and [`SubsetEncoder::detect_with`]. Sessions do not own one: the
+/// session layer keeps one per thread and lends it to whichever session
+/// that thread is running (see [`crate::session`]), so the steady-state
+/// encode path reuses a warm per-label code memo and performs no
+/// per-call heap allocation for its working buffers. Reuse across
+/// labels, sessions *and* schemes is safe: every memo layer is stamped
+/// with the label and [`Scheme::memo_fingerprint`] it was derived under
+/// and invalidates when a different one drives it.
 #[derive(Debug, Default)]
 pub struct EncoderScratch {
     /// Memoized convention-code classifications (multi-hash encodings).

@@ -5,18 +5,26 @@
 //! two very different kinds of state: *configuration* (scheme, encoder,
 //! watermark, quality constraints — immutable once built, identical for
 //! every stream of a tenant) and *per-stream session state* (the sliding
-//! window, labeler, voting buckets, scratch buffers — one copy per live
-//! stream). A multi-stream engine serving thousands of sessions wants to
-//! share one [`EmbedConfig`]/[`DetectConfig`] behind an `Arc` and keep
-//! only a cheap [`EmbedSession`]/[`DetectSession`] per stream, so this
-//! module factors the single-stream pipelines along exactly that line.
-//! The wrapper types delegate here; running a session through a config is
-//! bit-identical to running the equivalent `Embedder`/`Detector`.
+//! window, labeler, moments or voting buckets, counters — one copy per
+//! live stream). A multi-stream engine serving thousands of sessions
+//! wants to share one [`EmbedConfig`]/[`DetectConfig`] behind an `Arc` and
+//! keep only a cheap [`EmbedSession`]/[`DetectSession`] per stream, so
+//! this module factors the single-stream pipelines along exactly that
+//! line. The wrapper types delegate here; running a session through a
+//! config is bit-identical to running the equivalent
+//! `Embedder`/`Detector`.
 //!
-//! Scratch reuse is safe across schemes because every memo layer inside
-//! [`EncoderScratch`] is stamped with [`Scheme::memo_fingerprint`] and
-//! invalidates when a different scheme drives it — a session can even be
-//! (re)used under another config, it merely re-warms its memos.
+//! Sessions hold no scratch. The per-batch working state — the
+//! [`EncoderScratch`] (code memo, compiled hasher, search buffers) and
+//! the extreme-scan buffers — lives once per *thread* and is borrowed
+//! for the length of one window batch, so every session a thread drives
+//! (an engine worker's shard, a caller draining a ring, a single-stream
+//! wrapper) shares one warm 2^γ code memo instead of each session
+//! allocating its own. Sharing changes no output byte: the scratch is a
+//! pure cache, and every memo layer inside it is stamped with the label
+//! and [`Scheme::memo_fingerprint`] it was derived under, so a session
+//! (or a config with another key) that takes over a warm scratch only
+//! invalidates and re-warms it.
 
 use crate::checkpoint::{ByteReader, ByteWriter, CheckpointError};
 use crate::detector::{BitBuckets, DetectionReport};
@@ -29,9 +37,52 @@ use crate::scheme::Scheme;
 use crate::transform_estimate::adjusted_degree;
 use crate::watermark::Watermark;
 use crate::EmbedStats;
+use std::cell::RefCell;
 use std::sync::Arc;
 use wms_math::SlidingMoments;
 use wms_stream::{Sample, SlidingWindow, Span};
+
+/// The per-batch working state of [`EmbedConfig::process_batch`] and
+/// [`DetectConfig::process_batch`]: pure caches and buffers, never part
+/// of a stream's replay state, so one copy serves every session a thread
+/// drives (see the module docs).
+#[derive(Default)]
+struct BatchScratch {
+    /// Encoder scratch (code memo, compiled hasher, search buffers).
+    encoder: EncoderScratch,
+    /// Window-values snapshot buffer for extreme scanning.
+    values: Vec<f64>,
+    /// Extreme scanner (plateau-run buffer) and its output buffer.
+    scanner: extremes::Scanner,
+    extremes: Vec<extremes::Extreme>,
+    /// Subset values: the pre-embedding snapshot when embedding, the
+    /// trimmed subset when detecting.
+    subset: Vec<f64>,
+}
+
+thread_local! {
+    static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
+}
+
+/// Runs `f` with this thread's [`BatchScratch`]. A batch that re-enters
+/// another session's batch on the same thread (an encoder or quality
+/// constraint driving a session of its own) gets a throwaway scratch
+/// instead: same bytes, only colder.
+fn with_batch_scratch<R>(f: impl FnOnce(&mut BatchScratch) -> R) -> R {
+    BATCH_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut BatchScratch::default()),
+    })
+}
+
+// Sessions are driven from more than one thread (a shard's worker and a
+// caller help-draining its ring take turns under one lock): nothing in
+// them may pin a thread.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<EmbedSession>();
+    assert_send::<DetectSession>();
+};
 
 /// Session snapshot magic (shared by embed and detect snapshots; the
 /// kind byte after the version distinguishes them).
@@ -44,9 +95,9 @@ const KIND_EMBED: u8 = 0;
 const KIND_DETECT: u8 = 1;
 
 /// Serializes the replay-relevant window state (resident samples plus
-/// lifetime flow counters). Scratch buffers are deliberately *not*
-/// captured anywhere in a snapshot: they are pure memo/working state and
-/// a restored session merely re-warms them, bit-identically.
+/// lifetime flow counters). Sessions hold no scratch — it lives per
+/// thread and is pure memo/working state — so a snapshot is exactly the
+/// replay state.
 fn write_window(w: &mut ByteWriter, win: &SlidingWindow) {
     w.put_u64(win.capacity() as u64);
     w.put_u64(win.total_pushed());
@@ -231,24 +282,30 @@ impl EmbedConfig {
     /// both cases every subset in the window is as complete as the space
     /// bound `$` permits (§2.2), so all majors are processed.
     fn process_batch(&self, sess: &mut EmbedSession) {
-        let len = sess.window.len();
-        if len < 3 {
+        if sess.window.len() < 3 {
             return;
         }
+        with_batch_scratch(|scratch| self.embed_batch(sess, scratch));
+    }
+
+    fn embed_batch(&self, sess: &mut EmbedSession, scratch: &mut BatchScratch) {
+        let len = sess.window.len();
+        let BatchScratch {
+            encoder,
+            values,
+            scanner,
+            extremes,
+            subset: before,
+        } = scratch;
         // Snapshot the window values once into the reusable buffer; the
         // scan sees this snapshot even though embeddings mutate the
         // window mid-batch (subsets are re-read below).
-        sess.window.values_into(&mut sess.values_buf);
-        sess.scanner.scan_into(
-            &sess.values_buf,
-            self.scheme.params.radius,
-            &mut sess.extremes_buf,
-        );
-        sess.stats.extremes_seen += sess.extremes_buf.len() as u64;
+        sess.window.values_into(values);
+        scanner.scan_into(values, self.scheme.params.radius, extremes);
+        sess.stats.extremes_seen += extremes.len() as u64;
         let degree = self.scheme.params.degree;
         let mut last_major: Option<usize> = None;
-        for ei in 0..sess.extremes_buf.len() {
-            let e = &sess.extremes_buf[ei];
+        for e in extremes.iter() {
             if !e.is_major(degree) {
                 continue;
             }
@@ -270,17 +327,17 @@ impl EmbedConfig {
             let trim = trim_around(subset, e_pos, self.scheme.params.max_subset);
             // Re-read from the window: a previous embedding in this batch
             // may have altered overlapping items.
-            sess.before.clear();
+            before.clear();
             let window = &sess.window;
-            sess.before.extend(
+            before.extend(
                 trim.clone()
                     .map(|i| window.get(i).expect("in-window").value),
             );
             let bit = self.wm.bit(bit_idx);
             let Some(res) = self.encoder.embed_with(
                 &self.scheme,
-                &mut sess.scratch,
-                &sess.before,
+                encoder,
+                before,
                 e_pos - trim.start,
                 &label,
                 bit,
@@ -299,7 +356,7 @@ impl EmbedConfig {
                 slot.value = res.values[k];
             }
             let alt = ProposedAlteration {
-                before: &sess.before,
+                before,
                 after: &res.values,
                 window_before: &window_before,
             };
@@ -323,9 +380,9 @@ impl EmbedConfig {
 }
 
 /// Per-stream mutable state of one embedding pipeline: the sliding
-/// window, labeler, running moments, statistics and every reusable
-/// scratch buffer. Cheap enough to keep one per live stream; all
-/// algorithm logic lives on [`EmbedConfig`].
+/// window, labeler, running moments and statistics — no scratch (that
+/// lives once per thread; see the module docs). Cheap enough to keep
+/// one per live stream; all algorithm logic lives on [`EmbedConfig`].
 pub struct EmbedSession {
     window: SlidingWindow,
     labeler: Labeler,
@@ -341,16 +398,6 @@ pub struct EmbedSession {
     /// (incremental checkpoints). A restored session restarts at 0, so
     /// any such cache must be dropped when a session is replaced.
     mutations: u64,
-    /// Encoder scratch (code memo + search buffers), reused across the
-    /// whole stream.
-    scratch: EncoderScratch,
-    /// Window-values snapshot buffer for extreme scanning.
-    values_buf: Vec<f64>,
-    /// Extreme scanner (plateau-run buffer) and its output buffer.
-    scanner: extremes::Scanner,
-    extremes_buf: Vec<extremes::Extreme>,
-    /// Pre-embedding subset snapshot buffer.
-    before: Vec<f64>,
 }
 
 impl EmbedSession {
@@ -366,11 +413,6 @@ impl EmbedSession {
             finished: false,
             pending_advance: 0,
             mutations: 0,
-            scratch: EncoderScratch::new(),
-            values_buf: Vec::new(),
-            scanner: extremes::Scanner::new(),
-            extremes_buf: Vec::new(),
-            before: Vec::new(),
         }
     }
 
@@ -395,8 +437,8 @@ impl EmbedSession {
 
     /// Captures everything needed to resume this session bit-identically
     /// in the versioned binary snapshot format, stamped with the driving
-    /// scheme's [`Scheme::memo_fingerprint`]. Scratch/memo buffers are
-    /// not captured (they are re-warmed transparently after a restore).
+    /// scheme's [`Scheme::memo_fingerprint`]. Sessions hold no scratch,
+    /// so none is captured.
     pub fn snapshot(&self, cfg: &EmbedConfig) -> Vec<u8> {
         let mut w = ByteWriter::with_magic(SESSION_MAGIC);
         w.put_u16(SESSION_VERSION);
@@ -581,19 +623,25 @@ impl DetectConfig {
     }
 
     fn process_batch(&self, sess: &mut DetectSession) {
-        let len = sess.window.len();
-        if len < 3 {
+        if sess.window.len() < 3 {
             return;
         }
-        sess.window.values_into(&mut sess.values_buf);
-        sess.scanner.scan_into(
-            &sess.values_buf,
-            self.scheme.params.radius,
-            &mut sess.extremes_buf,
-        );
+        with_batch_scratch(|scratch| self.detect_batch(sess, scratch));
+    }
+
+    fn detect_batch(&self, sess: &mut DetectSession, scratch: &mut BatchScratch) {
+        let len = sess.window.len();
+        let BatchScratch {
+            encoder,
+            values,
+            scanner,
+            extremes,
+            subset,
+        } = scratch;
+        sess.window.values_into(values);
+        scanner.scan_into(values, self.scheme.params.radius, extremes);
         let mut last_major: Option<usize> = None;
-        for ei in 0..sess.extremes_buf.len() {
-            let e = &sess.extremes_buf[ei];
+        for e in extremes.iter() {
             if !e.is_major(self.effective_degree) {
                 continue;
             }
@@ -612,11 +660,11 @@ impl DetectConfig {
             };
             sess.selected += 1;
             let trim = trim_around(subset_range, e_pos, self.scheme.params.max_subset);
-            sess.subset_buf.clear();
-            sess.subset_buf.extend_from_slice(&sess.values_buf[trim]);
-            let vote =
-                self.encoder
-                    .detect_with(&self.scheme, &mut sess.scratch, &sess.subset_buf, &label);
+            subset.clear();
+            subset.extend_from_slice(&values[trim]);
+            let vote = self
+                .encoder
+                .detect_with(&self.scheme, encoder, subset, &label);
             match vote.verdict() {
                 Some(true) => {
                     sess.buckets[bit_idx].true_count += 1;
@@ -652,15 +700,6 @@ pub struct DetectSession {
     /// Replay-state mutation counter; see
     /// [`EmbedSession::mutation_count`] — same contract, same caveats.
     mutations: u64,
-    /// Encoder scratch (code memo + buffers), reused across the stream.
-    scratch: EncoderScratch,
-    /// Window-values snapshot buffer for extreme scanning.
-    values_buf: Vec<f64>,
-    /// Extreme scanner (plateau-run buffer) and its output buffer.
-    scanner: extremes::Scanner,
-    extremes_buf: Vec<extremes::Extreme>,
-    /// Trimmed-subset values buffer.
-    subset_buf: Vec<f64>,
 }
 
 impl DetectSession {
@@ -680,11 +719,6 @@ impl DetectSession {
             finished: false,
             pending_advance: 0,
             mutations: 0,
-            scratch: EncoderScratch::new(),
-            values_buf: Vec::new(),
-            scanner: extremes::Scanner::new(),
-            extremes_buf: Vec::new(),
-            subset_buf: Vec::new(),
         }
     }
 

@@ -35,10 +35,15 @@ pub enum BatchReply {
     },
     /// Already applied in a previous life — skip ahead.
     Stale,
-    /// Shed by the overload policy — back off and retry.
+    /// Shed by the overload policy — back off and resend from the
+    /// lowest shed sequence number. Once a batch is shed, the server
+    /// sheds every later batch on the connection until that one is
+    /// accepted, so a pipelining client may see a run of these.
     Shed,
-    /// Refused because an earlier batch is missing (a shed opened a
-    /// hole in the sequence) — resend in order.
+    /// Refused because the batch skips ahead of the next expected
+    /// sequence. Shedding never causes this (see [`BatchReply::Shed`]):
+    /// it means the client skipped a sequence number or another client
+    /// interleaved with it — resend in order.
     Gap,
     /// The daemon is draining — stop sending.
     Draining,

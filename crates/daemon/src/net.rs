@@ -187,10 +187,21 @@ impl Conn {
     /// Shuts down both directions, waking any thread blocked on the
     /// socket.
     pub fn shutdown(&self) -> io::Result<()> {
+        self.shutdown_how(std::net::Shutdown::Both)
+    }
+
+    /// Shuts down the read direction only: a thread blocked reading
+    /// wakes with EOF, while replies still queued for the peer can be
+    /// written out.
+    pub fn shutdown_read(&self) -> io::Result<()> {
+        self.shutdown_how(std::net::Shutdown::Read)
+    }
+
+    fn shutdown_how(&self, how: std::net::Shutdown) -> io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+            Conn::Tcp(s) => s.shutdown(how),
             #[cfg(unix)]
-            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Both),
+            Conn::Unix(s) => s.shutdown(how),
         }
     }
 }

@@ -75,8 +75,9 @@ pub mod nack {
     pub const BAD_FRAME: u16 = 1;
     /// Hello asked for a protocol revision this server does not speak.
     pub const UNSUPPORTED: u16 = 2;
-    /// Shed overload policy: the ingest queue is full. Re-send later;
-    /// nothing was applied.
+    /// Shed overload policy: the ingest queue is full, or an earlier
+    /// batch on this connection was shed and has not been accepted
+    /// since. Nothing was applied; resend from the lowest shed sequence.
     pub const OVERLOADED: u16 = 3;
     /// The server is draining; no new batches are accepted.
     pub const DRAINING: u16 = 4;

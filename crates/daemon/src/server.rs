@@ -69,7 +69,9 @@ pub enum OverloadPolicy {
     /// propagates to the client through transport flow control.
     Block,
     /// The batch is refused with an `OVERLOADED` NACK and counted in
-    /// [`RunReport::shed`]; the client decides whether to retry.
+    /// [`RunReport::shed`]; the client decides whether to retry. Sheds
+    /// are sticky per connection: every later batch is shed too until
+    /// the lowest shed one is resent and accepted.
     Shed,
 }
 
@@ -1029,9 +1031,12 @@ impl Server {
         }
 
         // Engine is done (drained, hard-stopped, or failed): wake every
-        // connection thread and collect them.
+        // reader with EOF and collect the threads. Only the read half is
+        // shut: each writer still flushes what its channel holds (the
+        // SHUTDOWN_OK, the last ACKs) and closes once every sender of
+        // that channel is gone.
         for c in &conns {
-            let _ = c.shutdown();
+            let _ = c.shutdown_read();
         }
         drop(jobs_tx);
         let report = engine_thread
@@ -1059,7 +1064,7 @@ impl Server {
 }
 
 /// Spawns the reader and writer threads for one connection. Returns a
-/// third handle to the socket for forced shutdown at teardown.
+/// third handle to the socket, whose read half is shut at teardown.
 fn spawn_conn(
     conn: Conn,
     shared: Shared,
@@ -1105,6 +1110,9 @@ fn reader_loop(mut conn: Conn, sh: Shared, reply_tx: mpsc::Sender<Vec<u8>>) {
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
     let mut last_activity = Instant::now();
+    // Lowest batch sequence this connection has shed and not yet seen
+    // accepted (the sticky-shed rule; see `handle_raw`).
+    let mut shed_from: Option<u64> = None;
     loop {
         match conn.read(&mut buf) {
             Ok(0) => return, // clean EOF
@@ -1115,7 +1123,7 @@ fn reader_loop(mut conn: Conn, sh: Shared, reply_tx: mpsc::Sender<Vec<u8>>) {
                     match dec.try_raw() {
                         Ok(None) => break,
                         Ok(Some(raw)) => {
-                            if !handle_raw(raw, &sh, &reply_tx) {
+                            if !handle_raw(raw, &sh, &reply_tx, &mut shed_from) {
                                 return;
                             }
                         }
@@ -1146,9 +1154,41 @@ fn send_proto_nack(reply_tx: &mpsc::Sender<Vec<u8>>, metrics: &DaemonMetrics, e:
     let _ = reply_tx.send(nack.encode());
 }
 
+/// Refuses a batch with a typed `OVERLOADED` NACK, counts the shed and
+/// recycles the buffer.
+fn shed_batch(
+    sh: &Shared,
+    reply_tx: &mpsc::Sender<Vec<u8>>,
+    seq: u64,
+    events: Vec<Event>,
+    detail: String,
+) {
+    sh.pool.put(events);
+    sh.shed.fetch_add(1, Ordering::SeqCst);
+    sh.metrics.sheds.inc();
+    sh.metrics.nack(nack::OVERLOADED);
+    let nack = Frame::Nack {
+        seq,
+        code: nack::OVERLOADED,
+        detail,
+    };
+    let _ = reply_tx.send(nack.encode());
+}
+
 /// Handles one well-framed message. Returns `false` to close the
 /// connection.
-fn handle_raw(raw: proto::RawFrame, sh: &Shared, reply_tx: &mpsc::Sender<Vec<u8>>) -> bool {
+///
+/// `shed_from` is the connection's sticky-shed mark: once batch k is
+/// shed, every later batch (seq > k) on the connection is shed too,
+/// without touching the queue, until k itself is accepted. A batch thus
+/// never reaches the engine behind a hole this connection opened, and a
+/// `GAP` refusal means a client bug.
+fn handle_raw(
+    raw: proto::RawFrame,
+    sh: &Shared,
+    reply_tx: &mpsc::Sender<Vec<u8>>,
+    shed_from: &mut Option<u64>,
+) -> bool {
     sh.metrics.frame(raw.ty);
     match raw.ty {
         frame_type::BATCH => {
@@ -1170,6 +1210,16 @@ fn handle_raw(raw: proto::RawFrame, sh: &Shared, reply_tx: &mpsc::Sender<Vec<u8>
                     detail: "daemon is draining; batch not accepted".into(),
                 };
                 let _ = reply_tx.send(nack.encode());
+                return true;
+            }
+            if let Some(k) = shed_from.filter(|&k| seq > k) {
+                shed_batch(
+                    sh,
+                    reply_tx,
+                    seq,
+                    events,
+                    format!("batch {k} was shed; resend from it"),
+                );
                 return true;
             }
             let job = Job::Batch {
@@ -1197,20 +1247,22 @@ fn handle_raw(raw: proto::RawFrame, sh: &Shared, reply_tx: &mpsc::Sender<Vec<u8>
                     }
                 },
                 OverloadPolicy::Shed => match sh.jobs.try_send(job) {
-                    Ok(()) => {}
+                    Ok(()) => {
+                        if *shed_from == Some(seq) {
+                            *shed_from = None;
+                        }
+                    }
                     Err(mpsc::TrySendError::Full(job)) => {
                         sh.metrics.queue_depth.sub(1);
-                        if let Job::Batch { seq, events, .. } = job {
-                            sh.pool.put(events);
-                            sh.shed.fetch_add(1, Ordering::SeqCst);
-                            sh.metrics.sheds.inc();
-                            sh.metrics.nack(nack::OVERLOADED);
-                            let nack = Frame::Nack {
+                        if let Job::Batch { events, .. } = job {
+                            *shed_from = Some(shed_from.map_or(seq, |k| k.min(seq)));
+                            shed_batch(
+                                sh,
+                                reply_tx,
                                 seq,
-                                code: nack::OVERLOADED,
-                                detail: "ingest queue full; batch shed".into(),
-                            };
-                            let _ = reply_tx.send(nack.encode());
+                                events,
+                                "ingest queue full; batch shed".into(),
+                            );
                         }
                     }
                     Err(mpsc::TrySendError::Disconnected(job)) => {

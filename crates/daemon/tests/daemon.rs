@@ -375,6 +375,56 @@ fn shed_policy_nacks_overload_and_retry_changes_nothing() {
     );
 }
 
+/// Teardown must not cut off replies still queued for a slow reader:
+/// the client pipes 400 `STATS` requests without reading, so the
+/// server's writer blocks on a full socket, then asks for a drain and
+/// keeps not reading while the engine finishes and the server tears
+/// down. Every `STATS_OK` and then the `SHUTDOWN_OK` must still arrive.
+#[test]
+fn teardown_flushes_every_queued_reply_to_a_slow_reader() {
+    use wms_daemon::proto::{Frame, FrameDecoder};
+
+    let scratch = Scratch::new("teardown");
+    let (ep, handle) = start(base_config(&scratch));
+    let (mut client, _) = connect(&ep);
+    const REQUESTS: usize = 400;
+    for _ in 0..REQUESTS {
+        client
+            .write_raw(&Frame::Stats.encode())
+            .expect("write stats");
+    }
+    client
+        .write_raw(&Frame::Shutdown.encode())
+        .expect("write shutdown");
+    std::thread::sleep(Duration::from_millis(600));
+
+    let mut dec = FrameDecoder::new();
+    let mut buf = [0u8; 64 * 1024];
+    let mut stats_ok = 0usize;
+    let conn = client.conn_mut();
+    let shutdown_ok = loop {
+        match dec.try_frame().expect("decode") {
+            Some(Frame::StatsOk { .. }) => stats_ok += 1,
+            Some(f @ Frame::ShutdownOk { .. }) => break f,
+            Some(other) => panic!("unexpected frame after {stats_ok} STATS_OK: {other:?}"),
+            None => {
+                let n = std::io::Read::read(conn, &mut buf).expect("read");
+                assert!(
+                    n > 0,
+                    "server closed after {stats_ok} of {REQUESTS} STATS_OK, before SHUTDOWN_OK"
+                );
+                dec.push(&buf[..n]);
+            }
+        }
+    };
+    assert_eq!(
+        stats_ok, REQUESTS,
+        "every STATS_OK precedes {shutdown_ok:?}"
+    );
+    let report = handle.join().unwrap().expect("server run");
+    assert_eq!(report.outcome, Outcome::Drained);
+}
+
 #[test]
 fn malformed_frames_get_typed_nacks_and_do_not_disturb_the_engine() {
     let scratch = Scratch::new("badframe");

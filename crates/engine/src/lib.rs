@@ -325,7 +325,7 @@ impl ShardRouter {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpillTarget {
     /// An anonymous in-memory log: bounds *session* memory (windows,
-    /// labelers, scratch) while keeping the cold bytes in RAM. The
+    /// labelers, counters) while keeping the cold bytes in RAM. The
     /// default.
     Memory,
     /// An append-only log at this path, created if absent. A

@@ -25,10 +25,8 @@ const SCHEMA: &str = "wms-bench-pipeline/v1";
 const ITEMS: usize = 5000;
 
 /// The pre-overhaul convenience driver: one throwaway `Vec` per pushed
-/// sample (`out.extend(e.push(s))`), as `embed_stream` did before the
-/// push-path fix. Deliberately drives the deprecated wrappers — they
-/// *are* the naive variant being measured.
-#[allow(deprecated)]
+/// sample, as `embed_stream` did before the push-path fix — that
+/// allocation is part of the naive variant being measured.
 fn embed_stream_legacy(
     scheme: Scheme,
     encoder: Arc<dyn SubsetEncoder>,
@@ -37,9 +35,11 @@ fn embed_stream_legacy(
     let mut e = Embedder::new(scheme, encoder, Watermark::single(true)).unwrap();
     let mut out = Vec::with_capacity(input.len());
     for &s in input {
-        out.extend(e.push(s));
+        let mut step = Vec::new();
+        e.push_into(s, &mut step);
+        out.extend(step);
     }
-    out.extend(e.finish());
+    e.finish_into(&mut out);
     out
 }
 

@@ -35,8 +35,7 @@ use wms_core::encoding::multihash::MultiHashEncoder;
 use wms_core::{EmbedConfig, EmbedSession, Scheme, Watermark, WmParams};
 use wms_crypto::{Key, KeyedHash};
 use wms_engine::{
-    Checkpoint, Engine, EngineConfig, Event, MemoryBudget, RebalanceConfig, StreamId, StreamSpec,
-    DEFAULT_RING_CAPACITY,
+    Checkpoint, Engine, EngineConfig, Event, MemoryBudget, StreamId, StreamSpec, RING_CAPACITY,
 };
 use wms_stream::Sample;
 use wms_telemetry::Registry;
@@ -95,19 +94,7 @@ fn workload(streams: usize) -> Vec<Event> {
 /// One full engine run: spawn, register, ingest in batches, finish.
 /// Returns total samples out (sanity check + black-box anchor).
 fn run_engine(cfg: &Arc<EmbedConfig>, events: &[Event], streams: usize, workers: usize) -> usize {
-    run_engine_with(EngineConfig::with_workers(workers), cfg, events, streams)
-}
-
-/// [`run_engine`] under an explicit [`EngineConfig`] — the skew rows
-/// use this to pit the default rebalancer against `rebalance=off` on
-/// identical events.
-fn run_engine_with(
-    engine_cfg: EngineConfig,
-    cfg: &Arc<EmbedConfig>,
-    events: &[Event],
-    streams: usize,
-) -> usize {
-    let mut engine = Engine::new(engine_cfg).unwrap();
+    let mut engine = Engine::new(EngineConfig::with_workers(workers)).unwrap();
     for id in 0..streams as u64 {
         engine
             .register(StreamId(id), StreamSpec::Embed(Arc::clone(cfg)))
@@ -196,7 +183,7 @@ fn measure_interleaved(
 }
 
 /// [`run_engine_noop`] through the pipelined `submit`/`collect_next`
-/// API instead of the per-batch `ingest` barrier: up to `ring_capacity`
+/// API instead of the per-batch `ingest` barrier: up to `RING_CAPACITY`
 /// epochs ride in flight, so routing of batch N+1 overlaps the shard
 /// work of batch N. The gap between this and [`run_engine_noop`] is
 /// what the barrier costs.
@@ -205,11 +192,10 @@ fn run_engine_noop_pipelined(events: &[Event], streams: usize, workers: usize) -
     for id in 0..streams as u64 {
         engine.register(StreamId(id), StreamSpec::NoOp).unwrap();
     }
-    let depth = engine.ring_capacity().max(1);
     let mut n = 0usize;
     let mut outstanding = 0usize;
     for chunk in events.chunks(BATCH) {
-        while outstanding >= depth {
+        while outstanding >= RING_CAPACITY {
             let (_, outs) = engine.collect_next().unwrap().expect("epoch outstanding");
             n += outs.len();
             outstanding -= 1;
@@ -227,8 +213,9 @@ fn run_engine_noop_pipelined(events: &[Event], streams: usize, workers: usize) -
 
 /// Skewed interleaving over `streams` streams: stream 0 carries half
 /// the events while the rest round-robin the other half — the shape
-/// hash-routing loses on and the rebalancer exists for. Per-stream
-/// sample indices stay sequential so outputs are well-defined.
+/// hash-routing loses on, since one shard carries the hot stream.
+/// Per-stream sample indices stay sequential so outputs are
+/// well-defined.
 fn workload_skewed(streams: usize) -> Vec<Event> {
     assert!(streams >= 2);
     let mut events = Vec::with_capacity(TOTAL_ITEMS);
@@ -457,9 +444,7 @@ fn main() {
 
     // Skewed traffic: stream 0 carries half the events while 63 streams
     // share the rest. Hash routing pins the hot stream to one shard;
-    // the rows pair the default rebalancer (steals whole streams off
-    // the hot shard at epoch boundaries) against rebalance=off on the
-    // same events, with the sequential baseline as denominator.
+    // the sequential baseline is the denominator.
     {
         let streams = 64usize;
         let events = workload_skewed(streams);
@@ -477,21 +462,6 @@ fn main() {
                 black_box(run_engine(&cfg, black_box(&events), streams, workers));
             }));
         }
-        let off = EngineConfig::with_workers(2).with_rebalance(RebalanceConfig::disabled());
-        records.push(perf::measure(
-            id,
-            "workers=2 rebalance=off",
-            items,
-            budget,
-            || {
-                black_box(run_engine_with(
-                    off.clone(),
-                    &cfg,
-                    black_box(&events),
-                    streams,
-                ));
-            },
-        ));
     }
 
     // Hibernation latency: one full evict → spill → read → checksum →
@@ -766,19 +736,6 @@ fn main() {
             pipelined / barrier
         );
     }
-    // Skew headline: the rebalancer's worth on hot-stream traffic.
-    if let (Some(off), Some(on)) = (
-        rate(
-            "engine-embed/skewed streams=64 hot=1/2",
-            "workers=2 rebalance=off",
-        ),
-        rate("engine-embed/skewed streams=64 hot=1/2", "workers=2"),
-    ) {
-        println!(
-            "skewed 64-stream run, workers=2: rebalance on vs off: {:.2}x",
-            on / off
-        );
-    }
     // Overhead headline: what share of an embed run is the executor
     // itself? (no-op sessions process the same events through the same
     // machinery with zero watermark compute).
@@ -800,15 +757,7 @@ fn main() {
             ("host_cpus", host_cpus as u64),
             ("total_items", TOTAL_ITEMS as u64),
             ("batch", BATCH as u64),
-            ("ring_capacity", DEFAULT_RING_CAPACITY as u64),
-            (
-                "rebalance_every_batches",
-                RebalanceConfig::default().every_batches,
-            ),
-            (
-                "rebalance_ratio_x100",
-                (RebalanceConfig::default().ratio * 100.0) as u64,
-            ),
+            ("ring_capacity", RING_CAPACITY as u64),
             ("registry_streams", 1_000_000),
             ("registry_budget", 10_240),
             ("registry_drift_streams_checked", registry_drift_checked),

@@ -80,41 +80,3 @@ fn golden_equality_md5() {
 fn golden_equality_sha256() {
     golden_roundtrip(KeyedHash::sha256);
 }
-
-#[test]
-fn golden_push_into_matches_push() {
-    // The buffer-reusing push path must emit exactly what the legacy
-    // per-sample-Vec path emits, sample for sample.
-    let (data, _) = datasets::irtf_normalized_prefix(2500);
-    let scheme = exp::scheme(params());
-    let mk = || {
-        Embedder::new(
-            scheme.clone(),
-            Arc::new(MultiHashEncoder),
-            Watermark::single(true),
-        )
-        .unwrap()
-    };
-    // The deprecated wrappers are the very thing under test here: the
-    // reusing path must stay bit-identical to them.
-    #[allow(deprecated)]
-    let (legacy_out, legacy_stats) = {
-        let mut legacy = mk();
-        let mut legacy_out = Vec::new();
-        for &s in &data {
-            legacy_out.extend(legacy.push(s));
-        }
-        legacy_out.extend(legacy.finish());
-        (legacy_out, *legacy.stats())
-    };
-
-    let mut reusing = mk();
-    let mut out = Vec::with_capacity(data.len());
-    for &s in &data {
-        reusing.push_into(s, &mut out);
-    }
-    reusing.finish_into(&mut out);
-
-    assert_eq!(value_bits(&out), value_bits(&legacy_out));
-    assert_eq!(legacy_stats, *reusing.stats());
-}

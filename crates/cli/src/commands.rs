@@ -126,7 +126,6 @@ COMMANDS:
     engine     watermark many interleaved streams through the sharded
                multi-stream engine, then verify each mark
                --input F --output F --key K [--workers N] [--batch B]
-               [--ring-capacity N]
                [--text OWNER] [--encoder ...] [scheme flags as for embed]
                [--checkpoint-every N --checkpoint F] [--resume F]
                [--stop-after N] [--max-resident N [--spill F]]
@@ -134,25 +133,22 @@ COMMANDS:
                (input/output rows are `stream,value`; each stream is
                 normalized independently and watermarked with the same
                 key and parameters. --workers 0 (the default) sizes the
-                shard pool to the host's cores; --ring-capacity bounds
-                how many sub-batches may sit unapplied in each shard's
-                ingest ring (default 8) — higher pipelines deeper,
-                lower bounds memory. --checkpoint-every writes a durable
-                engine snapshot to --checkpoint after every N batches;
-                --resume continues a killed run from such a snapshot,
-                bit-identically to a run that never stopped; --stop-after
-                exits after N batches to simulate a crash; --max-resident
-                caps materialized sessions, hibernating the
-                least-recently-touched ones to --spill (or an in-memory
-                log) without changing any output byte; --normalize none
-                feeds raw values straight through — the daemon's mode —
-                so the two paths byte-compare)
+                shard pool to the host's cores. --checkpoint-every
+                writes a durable engine snapshot to --checkpoint after
+                every N batches; --resume continues a killed run from
+                such a snapshot, bit-identically to a run that never
+                stopped; --stop-after exits after N batches to simulate
+                a crash; --max-resident caps materialized sessions,
+                hibernating the least-recently-touched ones to --spill
+                (or an in-memory log) without changing any output byte;
+                --normalize none feeds raw values straight through — the
+                daemon's mode — so the two paths byte-compare)
     daemon     run wmsd, the long-lived watermarking service (WMSP over
                TCP or a unix socket; drain with SIGTERM for a final
                checkpoint + verdicts)
                --listen tcp:HOST:PORT|unix:PATH --output F --key K
                [--queue N] [--overload block|shed] [--workers N]
-               [--ring-capacity N] [--metrics tcp:HOST:PORT|unix:PATH]
+               [--metrics tcp:HOST:PORT|unix:PATH]
                [--checkpoint F [--checkpoint-every N]
                 [--checkpoint-interval-ms MS]] [--resume F]
                [--read-timeout-ms MS] [--write-timeout-ms MS]
@@ -162,8 +158,9 @@ COMMANDS:
                (values are watermarked raw — no per-stream normalization
                 — so output is byte-identical to `wms engine --normalize
                 none` fed the same batches; --workers 0 (default) = all
-                cores, --ring-capacity as for engine; with a checkpoint
-                file configured, a timer checkpoint runs every 5000 ms
+                cores; up to 8 batches ride in the engine before their
+                ACKs go out; with a checkpoint file configured, a timer
+                checkpoint runs every 5000 ms
                 unless --checkpoint-interval-ms overrides it (0 turns
                 the timer off); --metrics serves the Prometheus-style
                 text exposition over plain HTTP for curl / scrape
@@ -681,7 +678,6 @@ pub fn engine(args: &Args, out: &mut impl std::io::Write) -> Result<(), CmdError
     let params = parse_params(args)?;
     let wm = parse_watermark(args)?;
     let workers: usize = args.get_or("workers", 0usize)?;
-    let ring_capacity: usize = args.get_or("ring-capacity", 0usize)?;
     let batch: usize = args.get_or("batch", 1024usize)?;
     let ck_every: usize = args.get_or("checkpoint-every", 0usize)?;
     let ck_path = args.get("checkpoint").map(PathBuf::from);
@@ -719,11 +715,7 @@ pub fn engine(args: &Args, out: &mut impl std::io::Write) -> Result<(), CmdError
         if let Some(p) = &spill {
             budget = budget.with_spill_file(p.clone());
         }
-        let mut cfg = EngineConfig::with_workers(workers).with_budget(budget);
-        if ring_capacity > 0 {
-            cfg = cfg.with_ring_capacity(ring_capacity);
-        }
-        cfg
+        EngineConfig::with_workers(workers).with_budget(budget)
     };
     // A bare `--resume F` keeps checkpointing to the same file.
     let ck_path = ck_path.or_else(|| resume.clone());
@@ -1073,7 +1065,6 @@ pub fn daemon(args: &Args, out: &mut impl std::io::Write) -> Result<(), CmdError
     let params = parse_params(args)?;
     let wm = parse_watermark(args)?;
     let workers: usize = args.get_or("workers", 0usize)?;
-    let ring_capacity: usize = args.get_or("ring-capacity", 0usize)?;
     let ck_path = args.get("checkpoint").map(PathBuf::from);
     let ck_every: u64 = args.get_or("checkpoint-every", 0u64)?;
     let ck_interval_flag = args.get_parsed::<u64>("checkpoint-interval-ms")?;
@@ -1103,11 +1094,7 @@ pub fn daemon(args: &Args, out: &mut impl std::io::Write) -> Result<(), CmdError
         if let Some(p) = &spill {
             budget = budget.with_spill_file(p.clone());
         }
-        let mut cfg = EngineConfig::with_workers(workers).with_budget(budget);
-        if ring_capacity > 0 {
-            cfg = cfg.with_ring_capacity(ring_capacity);
-        }
-        cfg
+        EngineConfig::with_workers(workers).with_budget(budget)
     };
     let fingerprint = scheme.memo_fingerprint();
     let embed = Arc::new(

@@ -167,6 +167,32 @@ fn unknown_flag_is_reported() {
 }
 
 #[test]
+fn ring_capacity_is_not_a_flag() {
+    // The per-shard ring depth is a constant of the engine, not a knob:
+    // both commands reject the flag before opening any file or socket.
+    let dir = Scratch::new("ring-capacity");
+    let (input, out) = (dir.path("in.csv"), dir.path("out.csv"));
+    let sock = format!("unix:{}", dir.path("wmsd.sock"));
+    for (cmd, source, at) in [("engine", "--input", &input), ("daemon", "--listen", &sock)] {
+        let argv = [
+            cmd,
+            source,
+            at,
+            "--output",
+            &out,
+            "--key",
+            "7",
+            "--ring-capacity",
+            "4",
+        ];
+        wms(&argv)
+            .code(2)
+            .stdout_contains(&format!("unknown flag(s) for `{cmd}`: --ring-capacity"));
+    }
+    assert!(!std::path::Path::new(&out).exists());
+}
+
+#[test]
 fn generate_embed_detect_round_trip() {
     let dir = Scratch::new("roundtrip");
     let (sensor, licensed, cal) = (

@@ -122,39 +122,11 @@ impl Embedder {
         (self.config, self.session)
     }
 
-    /// Feeds one sample; returns any samples leaving the window.
-    ///
-    /// Thin wrapper over [`push_into`](Self::push_into), which reuses one
-    /// output buffer instead of allocating a (mostly empty) `Vec` per
-    /// sample; every internal caller has moved there. Gated behind the
-    /// `legacy-api` feature so `-D warnings` builds cannot reach it by
-    /// accident.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use push_into with a reused output buffer")]
-    pub fn push(&mut self, s: Sample) -> Vec<Sample> {
-        let mut out = Vec::new();
-        self.push_into(s, &mut out);
-        out
-    }
-
     /// Feeds one sample, appending any samples leaving the window to
     /// `out` (which is *not* cleared). The steady-state per-item path:
     /// no allocation happens here beyond `out`'s own growth.
     pub fn push_into(&mut self, s: Sample, out: &mut Vec<Sample>) {
         self.config.push_into(&mut self.session, s, out);
-    }
-
-    /// Flushes the stream end: processes the residual window and drains it.
-    ///
-    /// Thin wrapper over [`finish_into`](Self::finish_into), which
-    /// appends to a caller-owned buffer instead of allocating. Gated
-    /// behind the `legacy-api` feature like [`push`](Self::push).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use finish_into with a reused output buffer")]
-    pub fn finish(&mut self) -> Vec<Sample> {
-        let mut out = Vec::new();
-        self.finish_into(&mut out);
-        out
     }
 
     /// Flushes the stream end, appending the residual samples to `out`.
@@ -390,39 +362,6 @@ mod tests {
         let mut out = Vec::new();
         e.finish_into(&mut out);
         e.push_into(Sample::new(0, 0.0), &mut out);
-    }
-
-    /// The deprecated wrappers must stay bit-identical to the `_into`
-    /// path — they remain part of the `legacy-api` public surface. (Runs
-    /// in workspace builds, where wms-bench's dependency unifies the
-    /// feature on.)
-    #[cfg(feature = "legacy-api")]
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_wrappers_match_push_into() {
-        let input = test_stream(1500);
-        let mut legacy = Embedder::new(
-            scheme(test_params()),
-            Arc::new(InitialEncoder),
-            Watermark::single(true),
-        )
-        .unwrap();
-        let mut modern = Embedder::new(
-            scheme(test_params()),
-            Arc::new(InitialEncoder),
-            Watermark::single(true),
-        )
-        .unwrap();
-        let mut out_legacy = Vec::new();
-        let mut out_modern = Vec::new();
-        for &s in &input {
-            out_legacy.extend(legacy.push(s));
-            modern.push_into(s, &mut out_modern);
-        }
-        out_legacy.extend(legacy.finish());
-        modern.finish_into(&mut out_modern);
-        assert_eq!(out_legacy, out_modern);
-        assert_eq!(legacy.stats(), modern.stats());
     }
 
     #[test]

@@ -252,7 +252,6 @@ impl EmbedConfig {
     /// steady-state per-item path: no allocation beyond `out`'s growth.
     pub fn push_into(&self, sess: &mut EmbedSession, s: Sample, out: &mut Vec<Sample>) {
         assert!(!sess.finished, "push after finish");
-        sess.mutations += 1;
         if sess.window.is_full() {
             self.process_batch(sess);
             sess.advance_after_batch(out);
@@ -266,7 +265,6 @@ impl EmbedConfig {
     /// drains it into `out`.
     pub fn finish_into(&self, sess: &mut EmbedSession, out: &mut Vec<Sample>) {
         assert!(!sess.finished, "finish twice");
-        sess.mutations += 1;
         sess.finished = true;
         self.process_batch(sess);
         let start = out.len();
@@ -391,13 +389,6 @@ pub struct EmbedSession {
     finished: bool,
     /// Items to emit after the current batch (set by `process_batch`).
     pending_advance: usize,
-    /// Replay-state mutation counter (bumped by every push/finish).
-    /// Transient bookkeeping — NOT captured in snapshots — that lets a
-    /// caller cache serialized snapshots and skip re-serializing a
-    /// session whose state has not changed since the cached one
-    /// (incremental checkpoints). A restored session restarts at 0, so
-    /// any such cache must be dropped when a session is replaced.
-    mutations: u64,
 }
 
 impl EmbedSession {
@@ -412,22 +403,12 @@ impl EmbedSession {
             stats: EmbedStats::default(),
             finished: false,
             pending_advance: 0,
-            mutations: 0,
         }
     }
 
     /// Run counters so far.
     pub fn stats(&self) -> &EmbedStats {
         &self.stats
-    }
-
-    /// Replay-state mutation counter: two reads of this session with the
-    /// same count are guaranteed to [`snapshot`](Self::snapshot) to the
-    /// same bytes, so callers can cache serialized snapshots across
-    /// checkpoints. Resets to 0 on a fresh or restored session — drop any
-    /// cache entry when the session object is replaced.
-    pub fn mutation_count(&self) -> u64 {
-        self.mutations
     }
 
     /// Whether `finish_into` has run.
@@ -593,7 +574,6 @@ impl DetectConfig {
     /// collected.
     pub fn push(&self, sess: &mut DetectSession, s: Sample) {
         assert!(!sess.finished, "push after finish");
-        sess.mutations += 1;
         if sess.window.is_full() {
             self.process_batch(sess);
             let n = sess.pending_advance.max(1);
@@ -607,7 +587,6 @@ impl DetectConfig {
     /// afterwards (further pushes panic).
     pub fn finish(&self, sess: &mut DetectSession) -> DetectionReport {
         assert!(!sess.finished, "finish twice");
-        sess.mutations += 1;
         sess.finished = true;
         self.process_batch(sess);
         DetectionReport {
@@ -697,9 +676,6 @@ pub struct DetectSession {
     abstained: u64,
     finished: bool,
     pending_advance: usize,
-    /// Replay-state mutation counter; see
-    /// [`EmbedSession::mutation_count`] — same contract, same caveats.
-    mutations: u64,
 }
 
 impl DetectSession {
@@ -718,19 +694,12 @@ impl DetectSession {
             abstained: 0,
             finished: false,
             pending_advance: 0,
-            mutations: 0,
         }
     }
 
     /// Major extremes examined so far (progress reporting).
     pub fn majors_seen(&self) -> u64 {
         self.majors_seen
-    }
-
-    /// Replay-state mutation counter; see
-    /// [`EmbedSession::mutation_count`] — same contract, same caveats.
-    pub fn mutation_count(&self) -> u64 {
-        self.mutations
     }
 
     /// Whether `finish` has run.

@@ -4,8 +4,8 @@
 //! Same contract as the engine's metrics ([`wms_engine::metrics`]):
 //! recording is always on (relaxed atomics, no allocation), exposition
 //! is opt-in via a [`Registry`], and the canonical names are documented
-//! in `DESIGN.md` §3.18 — the `names_are_documented` test below fails
-//! the build when the table and the code disagree.
+//! in `DESIGN.md` §3.18 — the tests below fail the build when the table
+//! and the code disagree, in either direction.
 
 use crate::proto::{frame_type, nack};
 use wms_telemetry::{Counter, Gauge, Histogram, Registry};
@@ -245,6 +245,26 @@ mod tests {
             assert!(
                 design.contains(name),
                 "metric {name} is not documented in DESIGN.md §3.18"
+            );
+        }
+    }
+
+    /// The reverse direction: every daemon name in a §3.18 table row is
+    /// one this module registers.
+    #[test]
+    fn design_md_daemon_rows_are_registered() {
+        let design = include_str!("../../../DESIGN.md");
+        let rows: Vec<&str> = design
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `"))
+            .filter_map(|l| l.split('`').next())
+            .filter(|name| name.starts_with("wms_daemon_"))
+            .collect();
+        assert_eq!(rows.len(), DaemonMetrics::metric_names().len());
+        for name in rows {
+            assert!(
+                DaemonMetrics::metric_names().contains(&name),
+                "DESIGN.md §3.18 lists {name}, which the daemon does not register"
             );
         }
     }

@@ -20,7 +20,7 @@
 //! instead of paying a barrier each. Per-connection reader threads
 //! decode frames into recycled event buffers and feed a **bounded** job
 //! queue; the queue is the backpressure boundary — and so is the ring:
-//! at most `ring_capacity` epochs ride in flight before the engine
+//! at most [`RING_CAPACITY`] epochs ride in flight before the engine
 //! thread collects the oldest. [`OverloadPolicy::Block`] makes a full
 //! queue push back through TCP flow control, [`OverloadPolicy::Shed`]
 //! answers with a typed `OVERLOADED` NACK instead. Either way no batch
@@ -50,7 +50,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use wms_core::checkpoint::{ByteReader, ByteWriter};
 use wms_core::EmbedConfig;
-use wms_engine::{Checkpoint, Engine, EngineConfig, EngineError, Event, StreamSpec};
+use wms_engine::{Checkpoint, Engine, EngineConfig, EngineError, Event, StreamSpec, RING_CAPACITY};
 use wms_telemetry::Registry;
 
 /// Engine-thread wakeup tick: the granularity at which SIGTERM drain
@@ -585,13 +585,7 @@ impl EngineLoop {
         self.pool.put(events);
         // Bound the in-flight window to the ring depth: beyond it the
         // shards are saturated and submitting more only buffers.
-        let cap = self
-            .engine
-            .as_ref()
-            .map(|en| en.ring_capacity())
-            .unwrap_or(1)
-            .max(1);
-        while self.inflight.len() >= cap {
+        while self.inflight.len() >= RING_CAPACITY {
             self.collect_one()?;
         }
         Ok(())

@@ -27,12 +27,6 @@
 //!   engine keeps the shard on the caller thread and skips the rings
 //!   entirely, which recovers the sequential pipeline's throughput for
 //!   single-shard workloads.
-//! * **Shard rebalancing** — per-stream ingest loads are tracked at
-//!   routing time; every `RebalanceConfig::every_batches` epochs the
-//!   engine migrates low-traffic streams off the hottest shard
-//!   (snapshot → transfer → adopt, the PR 5 checkpoint encoding doubling
-//!   as the migration payload), so one hot stream no longer idles the
-//!   other workers. Migration never changes any stream's output.
 //! * **Checkpoint/restore** — [`Engine::checkpoint`] captures every
 //!   session's replay state in a versioned binary [`Checkpoint`];
 //!   [`Engine::restore`] rebuilds an engine that continues
@@ -85,7 +79,7 @@
 //! [`Engine::ingest`] is synchronous: it publishes one sub-batch per
 //! shard and blocks until its own epoch's watermark is reached (helping
 //! to drain while it waits). The pipelined path ([`Engine::submit`])
-//! buffers at most `ring_capacity` sub-batches per shard; a full ring
+//! buffers at most [`RING_CAPACITY`] sub-batches per shard; a full ring
 //! makes the publisher drain an entry itself before parking, so
 //! backpressure converts into useful work instead of a stall.
 //!
@@ -348,10 +342,6 @@ pub enum SpillTarget {
 /// session per call). Eviction is invisible in the outputs: the
 /// equivalence tests pin byte-identical results against an unbudgeted
 /// engine across worker counts and eviction schedules.
-///
-/// The snapshot cache used for incremental checkpoints is *not* counted
-/// against the budget: it holds serialized bytes, not sessions, and
-/// only populates on engines that actually checkpoint.
 #[derive(Clone, Debug)]
 pub struct MemoryBudget {
     /// Maximum resident sessions across all shards (`0` = unbounded).
@@ -390,48 +380,11 @@ impl MemoryBudget {
     }
 }
 
-/// Skew-rebalancing policy: when and how aggressively streams migrate
-/// off hot shards.
-///
-/// At every `every_batches`-th epoch the engine compares per-shard
-/// ingest loads accumulated since the last check. When the hottest
-/// shard carried more than `ratio` × the per-shard mean (and hosts more
-/// than one resident stream), its lowest-traffic streams migrate to the
-/// coldest shard until the hot shard's projected load is back around
-/// the mean. The policy is a deterministic function of the ingest
-/// history, so runs are reproducible; migration never changes any
-/// stream's output (the equivalence wall pins this).
-#[derive(Clone, Debug)]
-pub struct RebalanceConfig {
-    /// Check cadence in epochs (= batches). `0` disables automatic
-    /// rebalancing; explicit [`Engine::migrate_stream`] still works.
-    pub every_batches: u64,
-    /// Trigger threshold: rebalance when the hottest shard's load
-    /// exceeds `ratio` × the per-shard mean.
-    pub ratio: f64,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            every_batches: 64,
-            ratio: 2.0,
-        }
-    }
-}
-
-impl RebalanceConfig {
-    /// No automatic rebalancing.
-    pub fn disabled() -> Self {
-        RebalanceConfig {
-            every_batches: 0,
-            ..RebalanceConfig::default()
-        }
-    }
-}
-
-/// Default per-shard ring capacity (published-but-unapplied sub-batches).
-pub const DEFAULT_RING_CAPACITY: usize = 8;
+/// Per-shard ring capacity: how many published sub-batches may sit
+/// unapplied before the publisher help-drains or parks. Also the depth
+/// of the `wmsd` deferred-ACK window, which keeps at most this many
+/// submitted epochs uncollected.
+pub const RING_CAPACITY: usize = 8;
 
 /// Engine construction parameters.
 #[derive(Clone)]
@@ -444,12 +397,6 @@ pub struct EngineConfig {
     pub shard_key: Key,
     /// Session-residency budget (default: unbounded, no eviction).
     pub budget: MemoryBudget,
-    /// Per-shard ingest-ring capacity: how many published sub-batches
-    /// may sit unapplied before the publisher help-drains or parks.
-    /// Clamped to at least 1; irrelevant for single-worker engines.
-    pub ring_capacity: usize,
-    /// Skew-rebalancing policy (default: every 64 batches at 2× mean).
-    pub rebalance: RebalanceConfig,
 }
 
 impl Default for EngineConfig {
@@ -458,8 +405,6 @@ impl Default for EngineConfig {
             workers: 0,
             shard_key: Key::from_bytes(&b"wms/engine/default-shard-key"[..]),
             budget: MemoryBudget::default(),
-            ring_capacity: DEFAULT_RING_CAPACITY,
-            rebalance: RebalanceConfig::default(),
         }
     }
 }
@@ -476,18 +421,6 @@ impl EngineConfig {
     /// Same config with a session-residency budget.
     pub fn with_budget(mut self, budget: MemoryBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Same config with an explicit per-shard ring capacity.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        self
-    }
-
-    /// Same config with an explicit rebalancing policy.
-    pub fn with_rebalance(mut self, rebalance: RebalanceConfig) -> Self {
-        self.rebalance = rebalance;
         self
     }
 }
@@ -575,19 +508,39 @@ enum Backend {
     /// `workers == 1`: no thread, no ring — every batch runs on the
     /// caller thread against the directly-owned shard. This is what
     /// makes single-shard batches as fast as the sequential pipeline.
-    Inline(Box<Shard>),
+    Inline {
+        shard: Box<Shard>,
+        /// Outputs of submitted epochs (computed at submit time), in
+        /// submission order, awaiting collection.
+        ready: VecDeque<(u64, Vec<Output>)>,
+    },
     /// `workers > 1`: one bounded ring + drainer thread per shard, the
     /// caller helping out whenever it waits.
-    Ring(Ring),
+    Ring(RingBackend),
+}
+
+/// The ring executor plus the caller-side routing state that feeds it.
+struct RingBackend {
+    ring: Ring,
+    /// Scratch: per-shard staging buffers the router fills, swapped into
+    /// ring entries on publish and refilled from `buf_pool`.
+    staging: Vec<Staging>,
+    /// Recycled event/run buffers cycling staging → ring → back.
+    buf_pool: Vec<worker::BufPair>,
+    /// Per-shard ring sequence of the last published entry.
+    published: Vec<u64>,
+    /// Submitted epochs whose outputs have not been collected yet.
+    outstanding: VecDeque<EpochMeta>,
+    /// Recycled epoch metadata records.
+    meta_pool: Vec<EpochMeta>,
 }
 
 /// One registered stream's registry entry. The spec is retained so a
 /// hibernated session can be rebuilt on re-adoption; it is `Arc`-backed,
 /// so the per-stream cost is a pointer, not a scheme.
 struct StreamEntry {
-    /// The shard currently hosting (or, if hibernated, designated to
-    /// re-host) this stream. Starts at the router's placement; live
-    /// migration retargets it.
+    /// The shard hosting (or, if hibernated, designated to re-host)
+    /// this stream: the router's placement.
     shard: usize,
     /// Slot index inside the shard (valid only while `resident`). Routing
     /// emits `(slot, len)` run descriptors so the ingest consumer never
@@ -602,10 +555,6 @@ struct StreamEntry {
     /// Epoch of the last batch that touched this stream (first-touch
     /// detection at routing time without a per-batch hash map).
     epoch_stamp: u64,
-    /// Items routed in the current rebalance window (`load_stamp` says
-    /// which window the count belongs to — stale counts read as zero).
-    load: u64,
-    load_stamp: u64,
 }
 
 /// Engine-side record of one submitted epoch awaiting collection.
@@ -640,13 +589,6 @@ impl EpochMeta {
     }
 }
 
-/// One outstanding epoch: already-computed outputs (inline backend) or
-/// watermark targets still to wait on (ring backend).
-enum PendingEpoch {
-    Ready(u64, Vec<Output>),
-    Meta(EpochMeta),
-}
-
 /// Per-shard staging buffer the router fills before publishing.
 #[derive(Default)]
 struct Staging {
@@ -662,27 +604,8 @@ pub struct Engine {
     streams: HashMap<u64, StreamEntry>,
     /// Registration order (drives `finish` output ordering).
     order: Vec<StreamId>,
-    /// Scratch: per-shard staging buffers the router fills, swapped into
-    /// ring entries on publish and refilled from `buf_pool`.
-    staging: Vec<Staging>,
-    /// Recycled event/run buffers cycling staging → ring → back.
-    buf_pool: Vec<worker::BufPair>,
     /// Monotonic batch counter (one per `ingest`/`submit`).
     epoch: u64,
-    /// Per-shard ring sequence of the last published entry.
-    published: Vec<u64>,
-    /// Submitted epochs whose outputs have not been collected yet.
-    outstanding: VecDeque<PendingEpoch>,
-    /// Recycled epoch metadata records.
-    meta_pool: Vec<EpochMeta>,
-    /// Configured per-shard ring capacity (reported in diagnostics even
-    /// for the inline backend, which has no ring).
-    ring_capacity: usize,
-    /// Rebalance policy + per-window per-shard load accounts.
-    rebalance_every: u64,
-    rebalance_ratio: f64,
-    shard_load: Vec<u64>,
-    load_window: u64,
     /// First fatal error (worker panic, spill I/O failure); replayed by
     /// every subsequent operation.
     poison: Option<EngineError>,
@@ -737,10 +660,12 @@ impl Engine {
             }
         };
         let router = ShardRouter::new(config.shard_key, workers);
-        let ring_capacity = config.ring_capacity.max(1);
         let metrics = Arc::new(EngineMetrics::new(workers));
         let backend = if workers == 1 {
-            Backend::Inline(Box::new(Shard::new()))
+            Backend::Inline {
+                shard: Box::new(Shard::new()),
+                ready: VecDeque::new(),
+            }
         } else {
             // On a single-core host, waking a worker per publish cannot
             // add throughput (the caller help-drains everything anyway),
@@ -750,30 +675,26 @@ impl Engine {
                 .map(|n| n.get())
                 .unwrap_or(1)
                 > 1;
-            Backend::Ring(Ring::new(
-                workers,
-                ring_capacity,
-                eager_wake,
-                metrics.ring_depth.clone(),
-                metrics.ring_high_water.clone(),
-            ))
+            Backend::Ring(RingBackend {
+                ring: Ring::new(
+                    workers,
+                    eager_wake,
+                    metrics.ring_depth.clone(),
+                    metrics.ring_high_water.clone(),
+                ),
+                staging: (0..workers).map(|_| Staging::default()).collect(),
+                buf_pool: Vec::new(),
+                published: vec![0; workers],
+                outstanding: VecDeque::new(),
+                meta_pool: Vec::new(),
+            })
         };
         Ok(Engine {
             router,
             backend,
             streams: HashMap::new(),
             order: Vec::new(),
-            staging: (0..workers).map(|_| Staging::default()).collect(),
-            buf_pool: Vec::new(),
             epoch: 0,
-            published: vec![0; workers],
-            outstanding: VecDeque::new(),
-            meta_pool: Vec::new(),
-            ring_capacity,
-            rebalance_every: config.rebalance.every_batches,
-            rebalance_ratio: config.rebalance.ratio.max(1.0),
-            shard_load: vec![0; workers],
-            load_window: 1,
             poison: None,
             max_resident: config.budget.max_resident,
             spill,
@@ -831,15 +752,7 @@ impl Engine {
             let mut slot = 0u32;
             if !park_cold {
                 let session = Session::restore(spec.clone(), entry.kind, &entry.snapshot)?;
-                let adopted = match &mut engine.backend {
-                    Backend::Inline(s) => Some(s.adopt(entry.id, session)),
-                    Backend::Ring(r) => r.shard_op(shard, |s| s.adopt(entry.id, session)).ok(),
-                };
-                let Some(s) = adopted else {
-                    engine.poison = Some(EngineError::WorkerLost { shard });
-                    return Err(EngineError::WorkerLost { shard });
-                };
-                slot = s;
+                slot = engine.on_shard(shard, |s| s.adopt(entry.id, session))?;
                 engine.resident_count += 1;
                 engine.resident_per_shard[shard] += 1;
                 if engine.max_resident > 0 {
@@ -855,8 +768,6 @@ impl Engine {
                     last_touch: engine.clock,
                     resident: !park_cold,
                     epoch_stamp: 0,
-                    load: 0,
-                    load_stamp: 0,
                 },
             );
             engine.order.push(entry.id);
@@ -961,13 +872,7 @@ impl Engine {
             return Err(EngineError::DuplicateStream(id));
         }
         self.clock += 1;
-        let registered = match &mut self.backend {
-            Backend::Inline(s) => Some(s.register(id, spec.clone())),
-            Backend::Ring(r) => r.shard_op(shard, |s| s.register(id, spec.clone())).ok(),
-        };
-        let Some(slot) = registered else {
-            return Err(self.poison_with(EngineError::WorkerLost { shard }));
-        };
+        let slot = self.on_shard(shard, |s| s.register(id, spec.clone()))?;
         self.streams.insert(
             id.0,
             StreamEntry {
@@ -977,8 +882,6 @@ impl Engine {
                 last_touch: self.clock,
                 resident: true,
                 epoch_stamp: 0,
-                load: 0,
-                load_stamp: 0,
             },
         );
         self.order.push(id);
@@ -1017,20 +920,16 @@ impl Engine {
     /// Blocks until `shard` has applied everything published to it,
     /// help-draining while it waits. Poisons the engine on worker loss.
     fn sync_shard(&mut self, shard: usize) -> Result<(), EngineError> {
-        let target = self.published[shard];
-        let lost = match &self.backend {
-            Backend::Ring(r) => r.wait_applied(shard, target).is_err(),
-            Backend::Inline(_) => false,
+        let synced = match &self.backend {
+            Backend::Ring(r) => r.ring.wait_applied(shard, r.published[shard]),
+            Backend::Inline { .. } => Ok(()),
         };
-        if lost {
-            return Err(self.poison_with(EngineError::WorkerLost { shard }));
-        }
-        Ok(())
+        synced.map_err(|()| self.poison_with(EngineError::WorkerLost { shard }))
     }
 
     /// Barriers every shard (a batch boundary across the whole engine).
     fn sync_all(&mut self) -> Result<(), EngineError> {
-        for shard in 0..self.published.len() {
+        for shard in 0..self.workers() {
             self.sync_shard(shard)?;
         }
         Ok(())
@@ -1043,40 +942,12 @@ impl Engine {
     /// Involved shards are synced first: published-but-unapplied entries
     /// may still reference the sessions being evicted.
     fn evict_streams(&mut self, by_shard: Vec<Vec<StreamId>>) -> Result<(), EngineError> {
-        if matches!(self.backend, Backend::Ring(_)) {
-            for (w, ids) in by_shard.iter().enumerate() {
-                if !ids.is_empty() {
-                    self.sync_shard(w)?;
-                }
-            }
-        }
         let mut evicted: Vec<(StreamId, u8, Vec<u8>)> = Vec::new();
-        let mut lost: Option<usize> = None;
-        match &mut self.backend {
-            Backend::Inline(shard) => {
-                let ids = &by_shard[0];
-                match catch_unwind(AssertUnwindSafe(|| shard.evict(ids))) {
-                    Ok(snaps) => evicted.extend(snaps),
-                    Err(_panic) => lost = Some(0),
-                }
+        for (w, ids) in by_shard.iter().enumerate() {
+            if !ids.is_empty() {
+                self.sync_shard(w)?;
+                evicted.extend(self.on_shard(w, |s| s.evict(ids))?);
             }
-            Backend::Ring(r) => {
-                for (w, ids) in by_shard.iter().enumerate() {
-                    if ids.is_empty() {
-                        continue;
-                    }
-                    match r.shard_op(w, |s| s.evict(ids)) {
-                        Ok(snaps) => evicted.extend(snaps),
-                        Err(()) => {
-                            lost = Some(w);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(w) = lost {
-            return Err(self.poison_with(EngineError::WorkerLost { shard: w }));
         }
         for (id, kind, bytes) in evicted {
             if let Err(e) = self.spill.append(id.0, kind, &bytes) {
@@ -1138,13 +1009,7 @@ impl Engine {
             Ok(s) => s,
             Err(e) => return Err(self.poison_with(EngineError::Checkpoint(e))),
         };
-        let adopted = match &mut self.backend {
-            Backend::Inline(s) => Some(s.adopt(StreamId(id), session)),
-            Backend::Ring(r) => r.shard_op(shard, |s| s.adopt(StreamId(id), session)).ok(),
-        };
-        let Some(slot) = adopted else {
-            return Err(self.poison_with(EngineError::WorkerLost { shard }));
-        };
+        let slot = self.on_shard(shard, |s| s.adopt(StreamId(id), session))?;
         if let Err(e) = self.spill.remove(id) {
             return Err(self.poison_with(e.into()));
         }
@@ -1218,7 +1083,7 @@ impl Engine {
     /// them first).
     pub fn ingest(&mut self, events: &[Event]) -> Result<Vec<Output>, EngineError> {
         self.ensure_live()?;
-        if !self.outstanding.is_empty() {
+        if self.outstanding_epochs() > 0 {
             return Err(EngineError::UncollectedEpochs);
         }
         self.submit(events)?;
@@ -1230,29 +1095,26 @@ impl Engine {
 
     /// Publishes one interleaved batch without waiting for it: the
     /// pipelined half of the ingest API. Returns the batch's epoch
-    /// number; its outputs arrive via [`Engine::collect_next`] /
-    /// [`Engine::try_collect_next`], strictly in submission order. At
-    /// most `ring_capacity` sub-batches per shard sit unapplied — a
-    /// publish into a full ring drains an entry on the caller thread
-    /// before parking, so backpressure converts into useful work.
+    /// number; its outputs arrive via [`Engine::collect_next`], strictly
+    /// in submission order. At most [`RING_CAPACITY`] sub-batches per
+    /// shard sit unapplied — a publish into a full ring drains an entry
+    /// on the caller thread before parking, so backpressure converts
+    /// into useful work. (With one worker the batch runs right here and
+    /// only its outputs wait.)
     pub fn submit(&mut self, events: &[Event]) -> Result<u64, EngineError> {
         self.ensure_live()?;
         if self.max_resident > 0 || self.spilled_count > 0 {
             self.prepare_batch(events)?;
         }
-        self.maybe_rebalance()?;
         self.epoch += 1;
         let epoch = self.epoch;
-        if matches!(self.backend, Backend::Inline(_)) {
-            let outputs = self.dispatch_inline(events)?;
-            self.outstanding
-                .push_back(PendingEpoch::Ready(epoch, outputs));
-        } else {
-            let meta = self.route_and_publish(epoch, events)?;
-            self.outstanding.push_back(PendingEpoch::Meta(meta));
-        }
+        let submitted = match &mut self.backend {
+            Backend::Inline { shard, ready } => ingest_inline(shard, &self.streams, events)
+                .map(|outputs| ready.push_back((epoch, outputs))),
+            Backend::Ring(r) => r.route_and_publish(&mut self.streams, epoch, events),
+        };
+        submitted.map_err(|e| self.poison_if_lost(e))?;
         self.metrics.batches.inc();
-        self.metrics.epochs_submitted.inc();
         self.metrics.items.add(events.len() as u64);
         if self.max_resident > 0 {
             self.enforce_budget()?;
@@ -1265,364 +1127,33 @@ impl Engine {
     /// nothing is outstanding.
     pub fn collect_next(&mut self) -> Result<Option<(u64, Vec<Output>)>, EngineError> {
         self.ensure_live()?;
-        match self.outstanding.pop_front() {
-            None => Ok(None),
-            Some(PendingEpoch::Ready(epoch, outputs)) => {
-                self.metrics.epochs_collected.inc();
-                Ok(Some((epoch, outputs)))
-            }
-            Some(PendingEpoch::Meta(meta)) => {
-                let outputs = self.collect_meta(&meta)?;
-                let epoch = meta.epoch;
-                self.recycle_meta(meta);
-                self.metrics.epochs_collected.inc();
-                Ok(Some((epoch, outputs)))
-            }
-        }
-    }
-
-    /// Non-blocking [`collect_next`](Self::collect_next): collects the
-    /// oldest outstanding epoch only when its watermark is already
-    /// reached. (A poisoned shard counts as ready, so the typed error
-    /// surfaces here instead of needing a blocking call.)
-    pub fn try_collect_next(&mut self) -> Result<Option<(u64, Vec<Output>)>, EngineError> {
-        self.ensure_live()?;
-        let ready = match self.outstanding.front() {
-            None => return Ok(None),
-            Some(PendingEpoch::Ready(..)) => true,
-            Some(PendingEpoch::Meta(meta)) => match &self.backend {
-                Backend::Ring(r) => meta
-                    .shard_seq
-                    .iter()
-                    .all(|&(s, seq)| r.applied(s as usize) >= seq || r.is_poisoned(s as usize)),
-                Backend::Inline(_) => true,
-            },
+        let collected = match &mut self.backend {
+            Backend::Inline { ready, .. } => Ok(ready.pop_front()),
+            Backend::Ring(r) => r.collect_next(),
         };
-        if ready {
-            self.collect_next()
-        } else {
-            Ok(None)
+        let collected = collected.map_err(|e| self.poison_if_lost(e))?;
+        if collected.is_some() {
+            self.metrics.epochs_collected.inc();
         }
+        Ok(collected)
     }
 
     /// Epochs submitted but not yet collected.
     pub fn outstanding_epochs(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Configured per-shard ring capacity.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring_capacity
-    }
-
-    /// The single-worker ingest body: validate and hand the whole slice
-    /// to the inline shard — no routing pass, no copy, no ring. Its
-    /// first-touch order IS the batch's first-touch order.
-    fn dispatch_inline(&mut self, events: &[Event]) -> Result<Vec<Output>, EngineError> {
-        // Validate the ids up front so an error dispatches nothing
-        // (run-cached: consecutive events of one stream cost one
-        // lookup).
-        let mut last: Option<u64> = None;
-        for ev in events {
-            if last != Some(ev.stream.0) {
-                if !self.streams.contains_key(&ev.stream.0) {
-                    return Err(EngineError::UnknownStream(ev.stream));
-                }
-                last = Some(ev.stream.0);
-            }
-        }
-        let Backend::Inline(shard) = &mut self.backend else {
-            unreachable!("caller checked the backend");
-        };
-        // Same containment as a ring consumer: a session panic poisons
-        // the shard, not the caller.
-        match catch_unwind(AssertUnwindSafe(|| shard.ingest_slice(events))) {
-            Ok(outs) => Ok(outs
-                .into_iter()
-                .map(|(stream, samples)| Output { stream, samples })
-                .collect()),
-            Err(_panic) => {
-                let e = EngineError::WorkerLost { shard: 0 };
-                self.poison = Some(e.clone());
-                Err(e)
-            }
+        match &self.backend {
+            Backend::Inline { ready, .. } => ready.len(),
+            Backend::Ring(r) => r.outstanding.len(),
         }
     }
 
-    /// The ring ingest front half: one routing pass fills per-shard
-    /// staging buffers (events plus `(slot, len)` run descriptors — the
-    /// consumer never hashes a stream id) and the epoch's first-touch
-    /// metadata, then every non-empty shard slice is published to its
-    /// ring. An unknown id rejects the batch before anything publishes.
-    fn route_and_publish(
-        &mut self,
-        epoch: u64,
-        events: &[Event],
-    ) -> Result<EpochMeta, EngineError> {
-        let mut meta = self.meta_pool.pop().unwrap_or_else(EpochMeta::new);
-        meta.reset(epoch);
-        let window = self.load_window;
-        let mut i = 0usize;
-        let mut unknown: Option<StreamId> = None;
-        while i < events.len() {
-            let id = events[i].stream;
-            let Some(entry) = self.streams.get_mut(&id.0) else {
-                unknown = Some(id);
-                break;
-            };
-            if entry.epoch_stamp != epoch {
-                entry.epoch_stamp = epoch;
-                meta.slot_of.insert(id.0, meta.touch_order.len() as u32);
-                meta.touch_order.push(id);
-            }
-            let (shard, slot) = (entry.shard, entry.slot);
-            let start = i;
-            i += 1;
-            while i < events.len() && events[i].stream == id {
-                i += 1;
-            }
-            let len = (i - start) as u32;
-            if entry.load_stamp != window {
-                entry.load_stamp = window;
-                entry.load = 0;
-            }
-            entry.load += len as u64;
-            self.shard_load[shard] += len as u64;
-            let buf = &mut self.staging[shard];
-            buf.events.extend_from_slice(&events[start..i]);
-            buf.runs.push((slot, len));
+    /// Passes `e` through, poisoning the engine first when a worker was
+    /// lost (its shard's sessions are gone). A rejected batch
+    /// (`UnknownStream`) leaves the engine usable.
+    fn poison_if_lost(&mut self, e: EngineError) -> EngineError {
+        if matches!(e, EngineError::WorkerLost { .. }) {
+            self.poison = Some(e.clone());
         }
-        if let Some(id) = unknown {
-            for b in &mut self.staging {
-                b.events.clear();
-                b.runs.clear();
-            }
-            self.recycle_meta(meta);
-            return Err(EngineError::UnknownStream(id));
-        }
-        let mut lost: Option<usize> = None;
-        {
-            let Backend::Ring(ring) = &self.backend else {
-                unreachable!("caller checked the backend");
-            };
-            for shard in 0..self.staging.len() {
-                if self.staging[shard].runs.is_empty() {
-                    continue;
-                }
-                let (mut ev_buf, mut run_buf) = self.buf_pool.pop().unwrap_or_default();
-                ev_buf.clear();
-                run_buf.clear();
-                let buf = &mut self.staging[shard];
-                let events = std::mem::replace(&mut buf.events, ev_buf);
-                let runs = std::mem::replace(&mut buf.runs, run_buf);
-                self.published[shard] += 1;
-                let seq = self.published[shard];
-                if ring.publish(shard, Entry { seq, events, runs }).is_err() {
-                    lost = Some(shard);
-                    break;
-                }
-                meta.shard_seq.push((shard as u32, seq));
-            }
-        }
-        if let Some(shard) = lost {
-            for b in &mut self.staging {
-                b.events.clear();
-                b.runs.clear();
-            }
-            return Err(self.poison_with(EngineError::WorkerLost { shard }));
-        }
-        Ok(meta)
-    }
-
-    /// The ring ingest back half: wait out each participating shard's
-    /// watermark (helping to drain meanwhile), pop its completed
-    /// result, and merge per-stream samples back into the epoch's
-    /// first-touch order — fixed at routing time, so output order never
-    /// depends on which thread applied what.
-    fn collect_meta(&mut self, meta: &EpochMeta) -> Result<Vec<Output>, EngineError> {
-        let mut per_stream: Vec<Option<Vec<Sample>>> = vec![None; meta.touch_order.len()];
-        let mut lost: Option<usize> = None;
-        {
-            let Backend::Ring(ring) = &self.backend else {
-                unreachable!("meta epochs exist only on the ring backend");
-            };
-            for &(shard, seq) in &meta.shard_seq {
-                let shard = shard as usize;
-                if ring.wait_applied(shard, seq).is_err() {
-                    lost = Some(shard);
-                    break;
-                }
-                let (done_seq, outs) = ring.take_done(shard, &mut self.buf_pool);
-                debug_assert_eq!(done_seq, seq, "results collect in publish order");
-                for (id, samples) in outs {
-                    per_stream[meta.slot_of[&id.0] as usize] = Some(samples);
-                }
-            }
-        }
-        if let Some(shard) = lost {
-            return Err(self.poison_with(EngineError::WorkerLost { shard }));
-        }
-        Ok(meta
-            .touch_order
-            .iter()
-            .zip(per_stream)
-            .map(|(&stream, samples)| Output {
-                stream,
-                samples: samples.unwrap_or_default(),
-            })
-            .collect())
-    }
-
-    fn recycle_meta(&mut self, mut meta: EpochMeta) {
-        if self.meta_pool.len() < 64 {
-            meta.reset(0);
-            self.meta_pool.push(meta);
-        }
-    }
-
-    /// Runs the rebalance check when its cadence is due.
-    fn maybe_rebalance(&mut self) -> Result<(), EngineError> {
-        if self.rebalance_every == 0
-            || self.epoch == 0
-            || !self.epoch.is_multiple_of(self.rebalance_every)
-            || !matches!(self.backend, Backend::Ring(_))
-        {
-            return Ok(());
-        }
-        self.rebalance_now()?;
-        Ok(())
-    }
-
-    /// Runs the skew check immediately (normally driven by
-    /// [`RebalanceConfig::every_batches`]): when the hottest shard's
-    /// ingest load since the last check exceeds `ratio` × the per-shard
-    /// mean, its lowest-traffic streams migrate to the coldest shard
-    /// until the hot shard is back around the mean — one hot stream no
-    /// longer idles the other workers. Returns how many streams moved.
-    /// The decision is a deterministic function of the ingest history
-    /// (ties break by stream id); outputs are never affected.
-    pub fn rebalance_now(&mut self) -> Result<usize, EngineError> {
-        self.ensure_live()?;
-        let shards = self.shard_load.len();
-        if shards < 2 {
-            return Ok(0);
-        }
-        let total: u64 = self.shard_load.iter().sum();
-        let mean = total as f64 / shards as f64;
-        let mut hot = 0usize;
-        let mut cold = 0usize;
-        for s in 0..shards {
-            if self.shard_load[s] > self.shard_load[hot] {
-                hot = s;
-            }
-            if self.shard_load[s] < self.shard_load[cold] {
-                cold = s;
-            }
-        }
-        let hot_load = self.shard_load[hot];
-        if total == 0
-            || (hot_load as f64) <= mean * self.rebalance_ratio
-            || self.resident_per_shard[hot] <= 1
-        {
-            self.bump_load_window();
-            return Ok(0);
-        }
-        // The hot shard's resident streams, coldest first (ties broken
-        // by id so hash-map iteration order cannot leak into placement).
-        let window = self.load_window;
-        let mut members: Vec<(u64, u64)> = self
-            .streams
-            .iter()
-            .filter(|(_, e)| e.resident && e.shard == hot)
-            .map(|(id, e)| {
-                let load = if e.load_stamp == window { e.load } else { 0 };
-                (load, *id)
-            })
-            .collect();
-        members.sort_unstable();
-        let mut moved = 0usize;
-        let mut hot_now = hot_load as f64;
-        let mut cold_now = self.shard_load[cold] as f64;
-        // The hottest stream stays put: a single stream cannot be
-        // split, only unburdened.
-        for &(load, id) in members.iter().take(members.len() - 1) {
-            if hot_now <= mean || cold_now + load as f64 > mean {
-                break;
-            }
-            self.migrate_stream(StreamId(id), cold)?;
-            hot_now -= load as f64;
-            cold_now += load as f64;
-            moved += 1;
-        }
-        self.bump_load_window();
-        self.metrics.rebalance_steals.add(moved as u64);
-        Ok(moved)
-    }
-
-    /// Starts a fresh load-accounting window (per-stream counts expire
-    /// lazily via their stamp).
-    fn bump_load_window(&mut self) {
-        self.load_window += 1;
-        for l in &mut self.shard_load {
-            *l = 0;
-        }
-    }
-
-    /// Migrates one stream to shard `to` (snapshot → transfer → adopt;
-    /// the `WMSS` checkpoint encoding is the migration payload). The
-    /// source shard is synced first, so no published events are
-    /// outstanding against the moving session; a hibernated stream just
-    /// retargets its registry entry. Returns `false` when the stream
-    /// already lives on `to`. Outputs are never affected — the
-    /// equivalence wall forces migration at arbitrary points and
-    /// byte-compares against the sequential pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `to >= workers()`.
-    pub fn migrate_stream(&mut self, id: StreamId, to: usize) -> Result<bool, EngineError> {
-        self.ensure_live()?;
-        assert!(to < self.workers(), "target shard out of range");
-        let Some(entry) = self.streams.get(&id.0) else {
-            return Err(EngineError::UnknownStream(id));
-        };
-        let from = entry.shard;
-        if from == to {
-            return Ok(false);
-        }
-        if !entry.resident {
-            self.streams.get_mut(&id.0).expect("checked").shard = to;
-            return Ok(true);
-        }
-        let spec = entry.spec.clone();
-        self.sync_shard(from)?;
-        let snaps = match &self.backend {
-            Backend::Ring(r) => r.shard_op(from, |s| s.evict(&[id])).ok(),
-            Backend::Inline(_) => unreachable!("a single shard cannot migrate"),
-        };
-        let Some(snaps) = snaps else {
-            return Err(self.poison_with(EngineError::WorkerLost { shard: from }));
-        };
-        let (_, kind, bytes) = snaps.into_iter().next().expect("evicted exactly one");
-        // From here the session exists only as bytes: failing to
-        // re-materialize it is state loss and poisons the engine.
-        let session = match Session::restore(spec, kind, &bytes) {
-            Ok(s) => s,
-            Err(e) => return Err(self.poison_with(EngineError::Checkpoint(e))),
-        };
-        let slot = match &self.backend {
-            Backend::Ring(r) => r.shard_op(to, |s| s.adopt(id, session)).ok(),
-            Backend::Inline(_) => unreachable!("a single shard cannot migrate"),
-        };
-        let Some(slot) = slot else {
-            return Err(self.poison_with(EngineError::WorkerLost { shard: to }));
-        };
-        let entry = self.streams.get_mut(&id.0).expect("checked");
-        entry.shard = to;
-        entry.slot = slot;
-        self.resident_per_shard[from] -= 1;
-        self.resident_per_shard[to] += 1;
-        Ok(true)
+        e
     }
 
     /// Captures a [`Checkpoint`] of every registered session at the
@@ -1634,14 +1165,10 @@ impl Engine {
     /// not. The returned checkpoint's `meta` is empty; callers stash
     /// their own resume bookkeeping there before serializing.
     ///
-    /// Checkpoints are **incremental at the serialization layer**: each
-    /// shard caches the last snapshot per session keyed by its mutation
-    /// count, so a session untouched since the previous checkpoint is
-    /// not re-serialized. Hibernated sessions are cheaper still — their
-    /// bytes are copied straight out of the spill log
-    /// (checksum-verified), with no re-adoption and no serialization.
-    /// The checkpoint itself stays fully self-contained: restoring needs
-    /// the checkpoint alone, never the spill file.
+    /// Hibernated sessions are not re-adopted: their bytes are copied
+    /// straight out of the spill log (checksum-verified), with no
+    /// serialization. The checkpoint itself stays fully self-contained:
+    /// restoring needs the checkpoint alone, never the spill file.
     pub fn checkpoint(&mut self) -> Result<Checkpoint, EngineError> {
         self.ensure_live()?;
         let started = std::time::Instant::now();
@@ -1675,41 +1202,15 @@ impl Engine {
                 Err(e) => return Err(self.poison_with(e.into())),
             }
         }
-        let mut lost: Option<usize> = None;
-        match &mut self.backend {
-            Backend::Inline(shard) => {
-                match catch_unwind(AssertUnwindSafe(|| shard.snapshot(&per_shard[0]))) {
-                    Ok(snaps) => {
-                        for (id, kind, bytes) in snaps {
-                            by_id.insert(id.0, (kind, bytes));
-                        }
-                    }
-                    Err(_panic) => lost = Some(0),
-                }
+        // Shards are quiesced (synced above), so the snapshot pass runs
+        // as plain control ops on the caller thread.
+        for (w, ids) in per_shard.iter().enumerate() {
+            if ids.is_empty() {
+                continue;
             }
-            Backend::Ring(ring) => {
-                // Shards are quiesced (synced above), so the snapshot
-                // pass runs as plain control ops on the caller thread.
-                for (w, ids) in per_shard.into_iter().enumerate() {
-                    if ids.is_empty() {
-                        continue;
-                    }
-                    match ring.shard_op(w, |s| s.snapshot(&ids)) {
-                        Ok(snaps) => {
-                            for (id, kind, bytes) in snaps {
-                                by_id.insert(id.0, (kind, bytes));
-                            }
-                        }
-                        Err(()) => {
-                            lost = Some(w);
-                            break;
-                        }
-                    }
-                }
+            for (id, kind, bytes) in self.on_shard(w, |s| s.snapshot(ids))? {
+                by_id.insert(id.0, (kind, bytes));
             }
-        }
-        if let Some(w) = lost {
-            return Err(self.poison_with(EngineError::WorkerLost { shard: w }));
         }
         let streams = self
             .order
@@ -1746,7 +1247,7 @@ impl Engine {
         self.ensure_live()?;
         // Finishing consumes the engine; silently discarding pipelined
         // outputs would be data loss, so the caller must collect first.
-        if !self.outstanding.is_empty() {
+        if self.outstanding_epochs() > 0 {
             return Err(EngineError::UncollectedEpochs);
         }
         self.sync_all()?;
@@ -1762,44 +1263,13 @@ impl Engine {
             }
         }
         let mut by_id: HashMap<u64, StreamOutcome> = HashMap::new();
-        // Pass 1: flush every resident session, all shards in parallel.
-        match &mut self.backend {
-            Backend::Inline(shard) => {
-                let ids = std::mem::take(&mut per_shard[0]);
-                match catch_unwind(AssertUnwindSafe(|| shard.finish(ids))) {
-                    Ok(outcomes) => {
-                        for o in outcomes {
-                            by_id.insert(o.stream.0, o);
-                        }
-                    }
-                    Err(_panic) => {
-                        let e = EngineError::WorkerLost { shard: 0 };
-                        self.poison = Some(e.clone());
-                        return Err(e);
-                    }
-                }
+        // Pass 1: flush every resident session, shard by shard.
+        for (w, ids) in per_shard.into_iter().enumerate() {
+            if ids.is_empty() {
+                continue;
             }
-            Backend::Ring(ring) => {
-                let mut lost: Option<usize> = None;
-                for (w, ids) in per_shard.into_iter().enumerate() {
-                    if ids.is_empty() {
-                        continue;
-                    }
-                    match ring.shard_op(w, |s| s.finish(ids)) {
-                        Ok(outcomes) => {
-                            for o in outcomes {
-                                by_id.insert(o.stream.0, o);
-                            }
-                        }
-                        Err(()) => {
-                            lost = Some(w);
-                            break;
-                        }
-                    }
-                }
-                if let Some(w) = lost {
-                    return Err(self.poison_with(EngineError::WorkerLost { shard: w }));
-                }
+            for o in self.on_shard(w, |s| s.finish(ids))? {
+                by_id.insert(o.stream.0, o);
             }
         }
         // Pass 2: re-adopt and flush hibernated sessions, shard by
@@ -1818,7 +1288,7 @@ impl Engine {
                 for id in chunk {
                     self.readopt(id.0)?;
                 }
-                for o in self.finish_shard(w, chunk.to_vec())? {
+                for o in self.on_shard(w, |s| s.finish(chunk.to_vec()))? {
                     by_id.insert(o.stream.0, o);
                 }
             }
@@ -1830,19 +1300,163 @@ impl Engine {
             .collect())
     }
 
-    /// Flushes the listed sessions on one shard (pass 2 of `finish`).
-    fn finish_shard(
+    /// Runs a control operation (register, adopt, snapshot, evict,
+    /// finish) against shard `w`'s sessions on the caller thread. A
+    /// panic is contained and poisons the engine as `WorkerLost`.
+    fn on_shard<T>(
         &mut self,
         w: usize,
-        ids: Vec<StreamId>,
-    ) -> Result<Vec<StreamOutcome>, EngineError> {
-        let outcomes = match &mut self.backend {
-            Backend::Inline(shard) => catch_unwind(AssertUnwindSafe(|| shard.finish(ids))).ok(),
-            Backend::Ring(ring) => ring.shard_op(w, |s| s.finish(ids)).ok(),
+        op: impl FnOnce(&mut Shard) -> T,
+    ) -> Result<T, EngineError> {
+        let done = match &mut self.backend {
+            Backend::Inline { shard, .. } => catch_unwind(AssertUnwindSafe(|| op(shard))).ok(),
+            Backend::Ring(r) => r.ring.shard_op(w, op).ok(),
         };
-        match outcomes {
-            Some(outcomes) => Ok(outcomes),
-            None => Err(self.poison_with(EngineError::WorkerLost { shard: w })),
+        done.ok_or_else(|| self.poison_with(EngineError::WorkerLost { shard: w }))
+    }
+}
+
+/// The single-worker ingest body: validate and hand the whole slice to
+/// the inline shard — no routing pass, no copy, no ring. Its first-touch
+/// order IS the batch's first-touch order.
+fn ingest_inline(
+    shard: &mut Shard,
+    streams: &HashMap<u64, StreamEntry>,
+    events: &[Event],
+) -> Result<Vec<Output>, EngineError> {
+    // Validate the ids up front so an error dispatches nothing
+    // (run-cached: consecutive events of one stream cost one lookup).
+    let mut last: Option<u64> = None;
+    for ev in events {
+        if last != Some(ev.stream.0) {
+            if !streams.contains_key(&ev.stream.0) {
+                return Err(EngineError::UnknownStream(ev.stream));
+            }
+            last = Some(ev.stream.0);
+        }
+    }
+    // Same containment as a ring consumer: a session panic poisons the
+    // shard, not the caller.
+    match catch_unwind(AssertUnwindSafe(|| shard.ingest_slice(events))) {
+        Ok(outs) => Ok(outs
+            .into_iter()
+            .map(|(stream, samples)| Output { stream, samples })
+            .collect()),
+        Err(_panic) => Err(EngineError::WorkerLost { shard: 0 }),
+    }
+}
+
+impl RingBackend {
+    /// The ring ingest front half: one routing pass fills per-shard
+    /// staging buffers (events plus `(slot, len)` run descriptors — the
+    /// consumer never hashes a stream id) and the epoch's first-touch
+    /// metadata, then every non-empty shard slice is published to its
+    /// ring and the epoch queues for collection. An unknown id rejects
+    /// the batch before anything publishes.
+    fn route_and_publish(
+        &mut self,
+        streams: &mut HashMap<u64, StreamEntry>,
+        epoch: u64,
+        events: &[Event],
+    ) -> Result<(), EngineError> {
+        let mut meta = self.meta_pool.pop().unwrap_or_else(EpochMeta::new);
+        meta.reset(epoch);
+        let mut i = 0usize;
+        while i < events.len() {
+            let id = events[i].stream;
+            let Some(entry) = streams.get_mut(&id.0) else {
+                self.clear_staging();
+                self.recycle_meta(meta);
+                return Err(EngineError::UnknownStream(id));
+            };
+            if entry.epoch_stamp != epoch {
+                entry.epoch_stamp = epoch;
+                meta.slot_of.insert(id.0, meta.touch_order.len() as u32);
+                meta.touch_order.push(id);
+            }
+            let start = i;
+            i += 1;
+            while i < events.len() && events[i].stream == id {
+                i += 1;
+            }
+            let buf = &mut self.staging[entry.shard];
+            buf.events.extend_from_slice(&events[start..i]);
+            buf.runs.push((entry.slot, (i - start) as u32));
+        }
+        for shard in 0..self.staging.len() {
+            if self.staging[shard].runs.is_empty() {
+                continue;
+            }
+            let (mut ev_buf, mut run_buf) = self.buf_pool.pop().unwrap_or_default();
+            ev_buf.clear();
+            run_buf.clear();
+            let buf = &mut self.staging[shard];
+            let events = std::mem::replace(&mut buf.events, ev_buf);
+            let runs = std::mem::replace(&mut buf.runs, run_buf);
+            self.published[shard] += 1;
+            let seq = self.published[shard];
+            if self
+                .ring
+                .publish(shard, Entry { seq, events, runs })
+                .is_err()
+            {
+                self.clear_staging();
+                return Err(EngineError::WorkerLost { shard });
+            }
+            meta.shard_seq.push((shard as u32, seq));
+        }
+        self.outstanding.push_back(meta);
+        Ok(())
+    }
+
+    /// Drops whatever a rejected routing pass left staged.
+    fn clear_staging(&mut self) {
+        for b in &mut self.staging {
+            b.events.clear();
+            b.runs.clear();
+        }
+    }
+
+    /// The ring ingest back half: wait out each participating shard's
+    /// watermark for the oldest outstanding epoch (helping to drain
+    /// meanwhile), pop its completed result, and merge per-stream
+    /// samples back into the epoch's first-touch order — fixed at
+    /// routing time, so output order never depends on which thread
+    /// applied what.
+    fn collect_next(&mut self) -> Result<Option<(u64, Vec<Output>)>, EngineError> {
+        let Some(meta) = self.outstanding.pop_front() else {
+            return Ok(None);
+        };
+        let mut per_stream: Vec<Option<Vec<Sample>>> = vec![None; meta.touch_order.len()];
+        for &(shard, seq) in &meta.shard_seq {
+            let shard = shard as usize;
+            if self.ring.wait_applied(shard, seq).is_err() {
+                return Err(EngineError::WorkerLost { shard });
+            }
+            let (done_seq, outs) = self.ring.take_done(shard, &mut self.buf_pool);
+            debug_assert_eq!(done_seq, seq, "results collect in publish order");
+            for (id, samples) in outs {
+                per_stream[meta.slot_of[&id.0] as usize] = Some(samples);
+            }
+        }
+        let outputs = meta
+            .touch_order
+            .iter()
+            .zip(per_stream)
+            .map(|(&stream, samples)| Output {
+                stream,
+                samples: samples.unwrap_or_default(),
+            })
+            .collect();
+        let epoch = meta.epoch;
+        self.recycle_meta(meta);
+        Ok(Some((epoch, outputs)))
+    }
+
+    fn recycle_meta(&mut self, mut meta: EpochMeta) {
+        if self.meta_pool.len() < 64 {
+            meta.reset(0);
+            self.meta_pool.push(meta);
         }
     }
 }

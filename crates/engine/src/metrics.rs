@@ -10,9 +10,9 @@
 //! from there.
 //!
 //! Metric names are part of the public interface: the full reference
-//! table lives in `DESIGN.md` §3.18, and the `names_are_documented`
-//! test below fails the build when a name here disappears from that
-//! table.
+//! table lives in `DESIGN.md` §3.18, and the tests below fail the build
+//! when a name here is missing from that table or the table lists an
+//! engine name this module does not register.
 
 use wms_telemetry::{Counter, Gauge, Histogram, Registry};
 
@@ -22,16 +22,12 @@ pub mod names {
     pub const BATCHES: &str = "wms_engine_batches_total";
     /// Events routed into shards.
     pub const ITEMS: &str = "wms_engine_items_total";
-    /// Epochs published via `submit` (one per batch).
-    pub const EPOCHS_SUBMITTED: &str = "wms_engine_epochs_submitted_total";
     /// Epochs whose outputs were collected.
     pub const EPOCHS_COLLECTED: &str = "wms_engine_epochs_collected_total";
     /// Published-but-unapplied sub-batches per shard ring.
     pub const RING_DEPTH: &str = "wms_engine_ring_depth";
     /// Highest ring occupancy seen per shard.
     pub const RING_HIGH_WATER: &str = "wms_engine_ring_high_water";
-    /// Streams migrated off hot shards by the rebalancer.
-    pub const REBALANCE_STEALS: &str = "wms_engine_rebalance_steals_total";
     /// Sessions hibernated to the spill store.
     pub const EVICTIONS: &str = "wms_engine_evictions_total";
     /// Hibernated sessions re-adopted on touch.
@@ -61,16 +57,12 @@ pub struct EngineMetrics {
     pub batches: Counter,
     /// Events routed into shards.
     pub items: Counter,
-    /// Epochs published via `submit`.
-    pub epochs_submitted: Counter,
     /// Epochs whose outputs were collected.
     pub epochs_collected: Counter,
     /// Per-shard ring depth (published-but-unapplied sub-batches).
     pub ring_depth: Vec<Gauge>,
     /// Per-shard ring occupancy high-water mark.
     pub ring_high_water: Vec<Gauge>,
-    /// Streams migrated off hot shards by the rebalancer.
-    pub rebalance_steals: Counter,
     /// Sessions hibernated to the spill store.
     pub evictions: Counter,
     /// Hibernated sessions re-adopted on touch.
@@ -96,11 +88,9 @@ impl EngineMetrics {
         EngineMetrics {
             batches: Counter::new(),
             items: Counter::new(),
-            epochs_submitted: Counter::new(),
             epochs_collected: Counter::new(),
             ring_depth: (0..shards).map(|_| Gauge::new()).collect(),
             ring_high_water: (0..shards).map(|_| Gauge::new()).collect(),
-            rebalance_steals: Counter::new(),
             evictions: Counter::new(),
             readoptions: Counter::new(),
             resident_sessions: Gauge::new(),
@@ -123,12 +113,6 @@ impl EngineMetrics {
         );
         reg.register_counter(names::ITEMS, "Events routed into shards.", &[], &self.items);
         reg.register_counter(
-            names::EPOCHS_SUBMITTED,
-            "Epochs published via submit (one per batch).",
-            &[],
-            &self.epochs_submitted,
-        );
-        reg.register_counter(
             names::EPOCHS_COLLECTED,
             "Epochs whose outputs were collected.",
             &[],
@@ -150,12 +134,6 @@ impl EngineMetrics {
                 g,
             );
         }
-        reg.register_counter(
-            names::REBALANCE_STEALS,
-            "Streams migrated off hot shards by the rebalancer.",
-            &[],
-            &self.rebalance_steals,
-        );
         reg.register_counter(
             names::EVICTIONS,
             "Sessions hibernated to the spill store.",
@@ -211,11 +189,9 @@ impl EngineMetrics {
         &[
             names::BATCHES,
             names::ITEMS,
-            names::EPOCHS_SUBMITTED,
             names::EPOCHS_COLLECTED,
             names::RING_DEPTH,
             names::RING_HIGH_WATER,
-            names::REBALANCE_STEALS,
             names::EVICTIONS,
             names::READOPTIONS,
             names::RESIDENT_SESSIONS,
@@ -242,6 +218,27 @@ mod tests {
             assert!(
                 design.contains(name),
                 "metric {name} is not documented in DESIGN.md §3.18"
+            );
+        }
+    }
+
+    /// The reverse direction: every engine name in a §3.18 table row is
+    /// one this module registers, so a deleted metric cannot linger in
+    /// the contract.
+    #[test]
+    fn design_md_engine_rows_are_registered() {
+        let design = include_str!("../../../DESIGN.md");
+        let rows: Vec<&str> = design
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `"))
+            .filter_map(|l| l.split('`').next())
+            .filter(|name| name.starts_with("wms_engine_"))
+            .collect();
+        assert_eq!(rows.len(), EngineMetrics::metric_names().len());
+        for name in rows {
+            assert!(
+                EngineMetrics::metric_names().contains(&name),
+                "DESIGN.md §3.18 lists {name}, which the engine does not register"
             );
         }
     }

@@ -38,7 +38,7 @@
 //! are considered lost (the panic may have fired midway through a state
 //! mutation).
 
-use crate::{StreamId, StreamOutcome, StreamSpec};
+use crate::{StreamId, StreamOutcome, StreamSpec, RING_CAPACITY};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -104,20 +104,6 @@ impl Session {
             }
             Session::NoOp { seen } => *seen += 1,
             _ => unreachable!("spec/session kind mismatch"),
-        }
-    }
-
-    /// How many replay-state mutations this session has absorbed. Used
-    /// as the snapshot-cache key: an unchanged count means the last
-    /// serialized snapshot is still byte-exact. Fresh *and restored*
-    /// sessions both start at 0, so the cache entry must be dropped
-    /// whenever a session is replaced (register/adopt/evict/finish).
-    fn mutation_count(&self) -> u64 {
-        match self {
-            Session::Embed(_, sess) => sess.mutation_count(),
-            Session::Detect(_, sess) => sess.mutation_count(),
-            Session::Fault { seen, .. } => *seen,
-            Session::NoOp { seen } => *seen,
         }
     }
 
@@ -243,14 +229,6 @@ pub(crate) struct Shard {
     index: HashMap<u64, u32>,
     /// Monotonic per-ingest-pass stamp driving first-touch detection.
     stamp: u64,
-    /// `id -> (mutation count, kind, snapshot bytes)` — serialized
-    /// snapshots reused while a session's mutation count is unchanged,
-    /// so repeated checkpoints (and an eviction right after one) only
-    /// re-serialize sessions that actually moved. Populated lazily by
-    /// the first snapshot of a session; invalidated whenever the session
-    /// is replaced or removed (a fresh/restored session restarts its
-    /// count at 0, which would alias a stale entry).
-    snap_cache: HashMap<u64, (u64, u8, Vec<u8>)>,
 }
 
 impl Shard {
@@ -260,7 +238,6 @@ impl Shard {
             free: Vec::new(),
             index: HashMap::new(),
             stamp: 0,
-            snap_cache: HashMap::new(),
         }
     }
 
@@ -282,7 +259,6 @@ impl Shard {
             }
         };
         self.index.insert(id.0, idx);
-        self.snap_cache.remove(&id.0);
         idx
     }
 
@@ -364,51 +340,27 @@ impl Shard {
         outs
     }
 
-    /// Serializes one session, reusing the cached bytes when its
-    /// mutation count is unchanged since the last snapshot.
-    fn snapshot_of(&mut self, id: StreamId) -> (u8, Vec<u8>) {
-        let idx = *self.index.get(&id.0).expect("engine tracks registrations");
-        let session = &self.slots[idx as usize]
-            .as_ref()
-            .expect("index names a slot")
-            .session;
-        let count = session.mutation_count();
-        if let Some((cached_count, kind, bytes)) = self.snap_cache.get(&id.0) {
-            if *cached_count == count {
-                return (*kind, bytes.clone());
-            }
-        }
-        let (kind, bytes) = session.snapshot();
-        self.snap_cache.insert(id.0, (count, kind, bytes.clone()));
-        (kind, bytes)
-    }
-
     /// Snapshots the listed sessions without disturbing them: the run
     /// continues bit-identically whether or not a checkpoint was taken.
-    /// (`&mut` only for the snapshot cache — session state is untouched.)
-    pub(crate) fn snapshot(&mut self, ids: &[StreamId]) -> Vec<(StreamId, u8, Vec<u8>)> {
+    pub(crate) fn snapshot(&self, ids: &[StreamId]) -> Vec<(StreamId, u8, Vec<u8>)> {
         ids.iter()
             .map(|id| {
-                let (kind, bytes) = self.snapshot_of(*id);
+                let idx = self.index[&id.0];
+                let slot = self.slots[idx as usize]
+                    .as_ref()
+                    .expect("index names a slot");
+                let (kind, bytes) = slot.session.snapshot();
                 (*id, kind, bytes)
             })
             .collect()
     }
 
-    /// Serializes and removes the listed sessions (hibernation, or a
-    /// migration to another shard). An eviction on the heels of a
-    /// checkpoint reuses the cached snapshot bytes instead of
-    /// serializing twice.
+    /// Serializes and removes the listed sessions (hibernation).
     pub(crate) fn evict(&mut self, ids: &[StreamId]) -> Vec<(StreamId, u8, Vec<u8>)> {
         ids.iter()
             .map(|id| {
                 let session = self.remove(*id).expect("engine tracks residency");
-                let (kind, bytes) = match self.snap_cache.remove(&id.0) {
-                    Some((count, kind, bytes)) if count == session.mutation_count() => {
-                        (kind, bytes)
-                    }
-                    _ => session.snapshot(),
-                };
+                let (kind, bytes) = session.snapshot();
                 (*id, kind, bytes)
             })
             .collect()
@@ -417,7 +369,6 @@ impl Shard {
     pub(crate) fn finish(&mut self, ids: Vec<StreamId>) -> Vec<StreamOutcome> {
         ids.into_iter()
             .map(|id| {
-                self.snap_cache.remove(&id.0);
                 self.remove(id)
                     .expect("engine tracks registrations")
                     .close(id)
@@ -525,7 +476,7 @@ impl ShardCell {
     /// the pop is what keeps per-shard entry order intact with multiple
     /// consumers. `try_proc` consumers (the caller helping out) bail
     /// with [`Consumed::Busy`] instead of blocking behind the worker.
-    fn consume(&self, progress: &Progress, capacity: usize, try_proc: bool) -> Consumed {
+    fn consume(&self, progress: &Progress, try_proc: bool) -> Consumed {
         if self.poisoned() {
             return Consumed::Poisoned;
         }
@@ -568,7 +519,7 @@ impl ShardCell {
                 {
                     let mut q = lock_mutex(&self.q);
                     q.done.push_back((seq, outs));
-                    if q.recycled.len() < capacity {
+                    if q.recycled.len() < RING_CAPACITY {
                         q.recycled.push((entry.events, entry.runs));
                     }
                 }
@@ -636,7 +587,6 @@ pub(crate) struct Ring {
     cells: Vec<Arc<ShardCell>>,
     progress: Arc<Progress>,
     threads: Vec<JoinHandle<()>>,
-    capacity: usize,
     /// Whether publishes wake the shard's worker immediately. On a
     /// single-core host a wakeup cannot add throughput — the caller
     /// help-drains everything anyway — so publishes stay silent and the
@@ -648,12 +598,10 @@ pub(crate) struct Ring {
 impl Ring {
     pub(crate) fn new(
         shards: usize,
-        capacity: usize,
         eager_wake: bool,
         depth: Vec<Gauge>,
         high_water: Vec<Gauge>,
     ) -> Ring {
-        let capacity = capacity.max(1);
         debug_assert_eq!(depth.len(), shards);
         debug_assert_eq!(high_water.len(), shards);
         let progress = Arc::new(Progress {
@@ -673,7 +621,7 @@ impl Ring {
                 let progress = Arc::clone(&progress);
                 std::thread::Builder::new()
                     .name(format!("wms-engine-shard-{i}"))
-                    .spawn(move || worker_loop(cell, progress, capacity))
+                    .spawn(move || worker_loop(cell, progress))
                     .expect("spawn shard worker")
             })
             .collect();
@@ -681,14 +629,8 @@ impl Ring {
             cells,
             progress,
             threads,
-            capacity,
             eager_wake,
         }
-    }
-
-    /// Whether `shard` is poisoned.
-    pub(crate) fn is_poisoned(&self, shard: usize) -> bool {
-        self.cells[shard].poisoned()
     }
 
     /// Runs a control operation against a shard's sessions on the
@@ -729,7 +671,7 @@ impl Ring {
             let seen = self.progress.snapshot();
             {
                 let mut q = lock_mutex(&cell.q);
-                if q.pending.len() < self.capacity {
+                if q.pending.len() < RING_CAPACITY {
                     q.pending
                         .push_back(entry.take().expect("publish retries keep the entry"));
                     let depth = q.pending.len() as u64;
@@ -742,7 +684,7 @@ impl Ring {
                     return Ok(());
                 }
             }
-            match cell.consume(&self.progress, self.capacity, true) {
+            match cell.consume(&self.progress, true) {
                 Consumed::One | Consumed::Empty => {}
                 Consumed::Poisoned => return Err(()),
                 Consumed::Busy => self.progress.wait_past(seen),
@@ -762,7 +704,7 @@ impl Ring {
                 return Err(());
             }
             let seen = self.progress.snapshot();
-            match cell.consume(&self.progress, self.capacity, true) {
+            match cell.consume(&self.progress, true) {
                 Consumed::One => {}
                 Consumed::Poisoned => return Err(()),
                 Consumed::Empty | Consumed::Busy => {
@@ -775,11 +717,6 @@ impl Ring {
                 }
             }
         }
-    }
-
-    /// Non-blocking watermark check.
-    pub(crate) fn applied(&self, shard: usize) -> u64 {
-        self.cells[shard].applied.load(Ordering::Acquire)
     }
 
     /// Pops the oldest completed result of `shard` (the caller has
@@ -807,7 +744,7 @@ impl Drop for Ring {
 }
 
 /// Worker loop: drains its shard's ring until shutdown or poisoning.
-fn worker_loop(cell: Arc<ShardCell>, progress: Arc<Progress>, capacity: usize) {
+fn worker_loop(cell: Arc<ShardCell>, progress: Arc<Progress>) {
     loop {
         {
             let mut q = lock_mutex(&cell.q);
@@ -822,7 +759,7 @@ fn worker_loop(cell: Arc<ShardCell>, progress: Arc<Progress>, capacity: usize) {
             }
         }
         loop {
-            match cell.consume(&progress, capacity, false) {
+            match cell.consume(&progress, false) {
                 Consumed::One => {}
                 Consumed::Empty | Consumed::Busy => break,
                 Consumed::Poisoned => return,

@@ -27,9 +27,7 @@ use wms_core::{
     WmParams,
 };
 use wms_crypto::{Key, KeyedHash};
-use wms_engine::{
-    Engine, EngineConfig, EngineError, Event, MemoryBudget, RebalanceConfig, StreamId, StreamSpec,
-};
+use wms_engine::{Engine, EngineConfig, EngineError, Event, MemoryBudget, StreamId, StreamSpec};
 use wms_stream::{samples_from_values, Sample};
 
 fn params() -> WmParams {
@@ -568,99 +566,13 @@ proptest! {
             prop_assert_eq!(got_stats, &want_stats);
         }
     }
-
-    #[test]
-    fn random_migration_schedules_embed_like_independent_pipelines(
-        k in 2usize..5,
-        n in 150usize..400,
-        seed in any::<u64>(),
-    ) {
-        // The steal-path half of the wall: random interleaving, batch
-        // size, worker count, spill budget, aggressive automatic
-        // rebalancing AND a forced stream-migration schedule on top —
-        // sessions hop shards (snapshot → transfer → adopt) at points
-        // no load policy would pick. The outputs must not move a bit.
-        let streams: Vec<(StreamId, Vec<Sample>)> = (0..k as u64)
-            .map(|i| (StreamId(i * 29 + 1), wave(n + i as usize * 13, i * 29 + 1)))
-            .collect();
-        let events = interleave(&streams, seed ^ 0x57EA1);
-        let batch = 1 + (seed % 61) as usize;
-        let workers = 2 + (seed % 3) as usize; // 2..=4: migration needs shards
-        let mut cfg = EngineConfig::with_workers(workers)
-            .with_rebalance(RebalanceConfig { every_batches: 2, ratio: 1.0 });
-        if seed & 4 == 0 {
-            cfg = cfg.with_budget(MemoryBudget::resident(1 + (seed % k as u64) as usize));
-        }
-        let got = run_with_migrations(&streams, &events, cfg, batch, 321, workers, seed ^ 0x3A11);
-        for (id, samples) in &streams {
-            let (want, want_stats) = Embedder::embed_stream(
-                scheme(321),
-                Arc::new(MultiHashEncoder),
-                Watermark::single(true),
-                samples,
-            )
-            .unwrap();
-            let (got_samples, got_stats) = &got[&id.0];
-            assert_bit_identical(id.0, got_samples, &want);
-            prop_assert_eq!(got_stats, &want_stats);
-        }
-    }
-}
-
-/// Like [`engine_embed_cfg`], but forcing a pseudo-random
-/// [`Engine::migrate_stream`] call after every batch on top of whatever
-/// automatic rebalancing the config enables.
-fn run_with_migrations(
-    streams: &[(StreamId, Vec<Sample>)],
-    events: &[Event],
-    engine_cfg: EngineConfig,
-    batch: usize,
-    key: u64,
-    workers: usize,
-    migrate_seed: u64,
-) -> HashMap<u64, (Vec<Sample>, wms_core::EmbedStats)> {
-    let cfg = Arc::new(
-        EmbedConfig::new(
-            scheme(key),
-            Arc::new(MultiHashEncoder),
-            Watermark::single(true),
-        )
-        .unwrap(),
-    );
-    let mut engine = Engine::new(engine_cfg).unwrap();
-    for (id, _) in streams {
-        engine
-            .register(*id, StreamSpec::Embed(Arc::clone(&cfg)))
-            .unwrap();
-    }
-    let mut rng = migrate_seed;
-    let mut collected: HashMap<u64, Vec<Sample>> = HashMap::new();
-    for chunk in events.chunks(batch.max(1)) {
-        for out in engine.ingest(chunk).unwrap() {
-            collected
-                .entry(out.stream.0)
-                .or_default()
-                .extend(out.samples);
-        }
-        let pick = streams[(splitmix(&mut rng) % streams.len() as u64) as usize].0;
-        let to = (splitmix(&mut rng) % workers as u64) as usize;
-        engine.migrate_stream(pick, to).unwrap();
-    }
-    let mut result = HashMap::new();
-    for outcome in engine.finish().unwrap() {
-        let mut samples = collected.remove(&outcome.stream.0).unwrap_or_default();
-        samples.extend(outcome.tail);
-        result.insert(outcome.stream.0, (samples, outcome.embed_stats.unwrap()));
-    }
-    result
 }
 
 #[test]
-fn skewed_load_with_rebalancing_is_bit_identical() {
-    // One stream carries ~10× the traffic of the rest, and the
-    // rebalancer runs at its most aggressive (every other batch, any
-    // imbalance triggers): streams migrate off the hot shard mid-run,
-    // and nothing about the output may change.
+fn skewed_load_is_bit_identical() {
+    // One stream carries ~10× the traffic of the rest, so its shard
+    // lags the others and the rings fill unevenly; nothing about the
+    // output may change.
     let mut streams: Vec<(StreamId, Vec<Sample>)> = vec![(StreamId(5), wave(2000, 5))];
     for id in [12u64, 31, 44, 58, 73] {
         streams.push((StreamId(id), wave(200, id)));
@@ -669,14 +581,10 @@ fn skewed_load_with_rebalancing_is_bit_identical() {
     let reference = reference_embed(&streams, 99, Arc::new(MultiHashEncoder));
     for workers in [2usize, 4] {
         for batch in [13usize, 256] {
-            let cfg = EngineConfig::with_workers(workers).with_rebalance(RebalanceConfig {
-                every_batches: 2,
-                ratio: 1.0,
-            });
             let got = engine_embed_cfg(
                 &streams,
                 &events,
-                cfg,
+                EngineConfig::with_workers(workers),
                 batch,
                 99,
                 Arc::new(MultiHashEncoder),
@@ -685,44 +593,9 @@ fn skewed_load_with_rebalancing_is_bit_identical() {
             assert_matches_reference(
                 &got,
                 &reference,
-                &format!("skewed rebalance, workers={workers}, batch={batch}"),
+                &format!("skewed load, workers={workers}, batch={batch}"),
             );
         }
-    }
-}
-
-#[test]
-fn forced_migration_with_spill_budget_is_bit_identical() {
-    // Fixed-fixture version of the migration proptest: budget of two
-    // residents (so migrations hit both resident and hibernated
-    // streams) plus a forced migration after every batch.
-    let streams: Vec<(StreamId, Vec<Sample>)> = [9u64, 21, 34, 47, 60]
-        .iter()
-        .map(|&id| (StreamId(id), wave(450, id)))
-        .collect();
-    let events = interleave(&streams, 0x00F5);
-    let reference = reference_embed(&streams, 55, Arc::new(MultiHashEncoder));
-    for workers in [2usize, 4] {
-        let cfg = EngineConfig::with_workers(workers)
-            .with_budget(MemoryBudget::resident(2))
-            .with_rebalance(RebalanceConfig {
-                every_batches: 4,
-                ratio: 1.2,
-            });
-        let got = run_with_migrations(
-            &streams,
-            &events,
-            cfg,
-            37,
-            55,
-            workers,
-            0xD1CE ^ workers as u64,
-        );
-        assert_matches_reference(
-            &got,
-            &reference,
-            &format!("forced migration under budget, workers={workers}"),
-        );
     }
 }
 
@@ -799,13 +672,12 @@ fn pipelined_submit_collect_preserves_order_and_guards_ingest() {
 }
 
 #[test]
-fn fault_mid_steal_is_typed_worker_lost_not_a_hang() {
-    // A migration whose source-shard sync runs into a panicking session
-    // must surface `WorkerLost` — the steal path may not hang on the
-    // watermark or poison the process. The poison batch is *submitted*
-    // but never collected, so the panic fires while the steal is
-    // syncing the source shard (or, on a multi-core host, just before —
-    // either way the same typed error comes back).
+fn poisoned_uncollected_epoch_is_typed_worker_lost_not_a_hang() {
+    // A batch whose session panics is *submitted* but never collected:
+    // the panic fires on a shard worker (or on the caller, helping to
+    // drain), and the next barrier must surface `WorkerLost` instead of
+    // hanging on the poisoned shard's watermark or unwinding into the
+    // caller.
     let mut engine = Engine::new(EngineConfig::with_workers(2)).unwrap();
     engine
         .register(StreamId(1), StreamSpec::FaultInject { panic_after: 5 })
@@ -816,22 +688,19 @@ fn fault_mid_steal_is_typed_worker_lost_not_a_hang() {
         .map(|&s| Event::new(StreamId(1), s))
         .collect();
     engine.submit(&poison).unwrap();
-    let err = (0..2)
-        .find_map(|to| engine.migrate_stream(StreamId(1), to).err())
-        .expect("migrating the faulty stream must cross the poisoned sync");
+    assert_eq!(engine.outstanding_epochs(), 1);
+    let err = engine
+        .checkpoint()
+        .err()
+        .expect("the barrier crosses the poisoned shard");
     assert!(
         matches!(err, EngineError::WorkerLost { .. }),
         "expected WorkerLost, got {err}"
     );
     // Every later operation reports the same typed error…
-    assert!(matches!(
-        engine.collect_next(),
-        Err(EngineError::WorkerLost { .. })
-    ));
-    assert!(matches!(
-        engine.ingest(&poison),
-        Err(EngineError::WorkerLost { .. })
-    ));
+    assert_eq!(engine.poisoned(), Some(&err));
+    assert_eq!(engine.collect_next().err(), Some(err.clone()));
+    assert_eq!(engine.ingest(&poison).err(), Some(err));
     // …and teardown neither hangs nor panics.
     drop(engine);
 }

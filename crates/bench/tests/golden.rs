@@ -16,9 +16,20 @@ use wms_stream::Sample;
 
 /// A fast-but-representative configuration on the IRTF prefix (11 of 15
 /// active averages keeps debug-build search cost reasonable).
-fn params() -> WmParams {
+fn reduced_params() -> WmParams {
     WmParams {
         min_active: Some(11),
+        ..exp::irtf_params()
+    }
+}
+
+/// The full convention (every m_ij must carry the bit), as `wms embed`
+/// and the `csv-embed-64` benchmark run it, at a = 4 so the 2^10
+/// candidates per bit stay cheap in debug builds.
+fn full_convention_params() -> WmParams {
+    WmParams {
+        min_active: None,
+        max_subset: 4,
         ..exp::irtf_params()
     }
 }
@@ -41,9 +52,9 @@ fn detect(scheme: &Scheme, enc: Arc<dyn SubsetEncoder>, data: &[Sample]) -> Dete
 /// End-to-end golden run for one keyed hash: optimized embed vs naive
 /// embed (also with the midstate fast path disabled) must agree bit for
 /// bit, and detection buckets must match across all four combinations.
-fn golden_roundtrip(make_hash: fn(Key) -> KeyedHash) {
+fn golden_roundtrip(params: WmParams, make_hash: fn(Key) -> KeyedHash) {
     let (data, _) = datasets::irtf_normalized_prefix(3000);
-    let scheme = Scheme::new(params(), make_hash(Key::from_u64(exp::EXPERIMENT_KEY))).unwrap();
+    let scheme = Scheme::new(params, make_hash(Key::from_u64(exp::EXPERIMENT_KEY))).unwrap();
     let scheme_no_mid = scheme.with_hash(scheme.hash.without_midstate());
 
     let fast = embed(&scheme, Arc::new(MultiHashEncoder), &data);
@@ -73,10 +84,15 @@ fn golden_roundtrip(make_hash: fn(Key) -> KeyedHash) {
 
 #[test]
 fn golden_equality_md5() {
-    golden_roundtrip(KeyedHash::md5);
+    golden_roundtrip(reduced_params(), KeyedHash::md5);
 }
 
 #[test]
 fn golden_equality_sha256() {
-    golden_roundtrip(KeyedHash::sha256);
+    golden_roundtrip(reduced_params(), KeyedHash::sha256);
+}
+
+#[test]
+fn golden_equality_full_convention_md5() {
+    golden_roundtrip(full_convention_params(), KeyedHash::md5);
 }

@@ -196,11 +196,13 @@ impl CodeTable {
     }
 
     /// Classifies up to `N` raws at once (`raws.len() ∈ [1, N]`); slot
-    /// `l` of the result equals `classify(scheme, label, raws[l])`.
-    /// Memo misses within the batch are hashed together through
+    /// `l` of the result equals `classify(scheme, label, raws[l])`, so
+    /// the lanes need not share anything but the label. Memo misses
+    /// within the batch are hashed together through
     /// [`wms_crypto::CompiledU64Hash::hash_u64_lanes`], interleaving the
-    /// otherwise latency-bound hash chains (the multi-hash search uses
-    /// `N = 8`, two interleaved SSE2 chains / one AVX2 chain).
+    /// otherwise latency-bound hash chains. The multi-hash search uses
+    /// `N = 8` (two interleaved SSE2 chains / one AVX2 chain) and fills
+    /// the lanes with codes of several candidates in flight.
     pub fn classify_batch<const N: usize>(
         &mut self,
         scheme: &Scheme,

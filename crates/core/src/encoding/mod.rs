@@ -34,10 +34,12 @@ pub mod quadres;
 pub struct EncoderScratch {
     /// Memoized convention-code classifications (multi-hash encodings).
     pub codes: CodeTable,
-    /// Prefix-sum buffer for O(1) contiguous-range means.
+    /// Prefix sums for O(1) contiguous-range means: `a + 1` per
+    /// multi-hash search candidate in flight, one run when detecting.
     pub prefix: Vec<f64>,
-    /// Candidate-values buffer for the multi-hash search.
-    pub candidate: Vec<f64>,
+    /// Values of the multi-hash search's candidates in flight, `a` per
+    /// slot (up to eight slots).
+    pub inflight: Vec<f64>,
     /// Quantized-raws buffer.
     pub raws: Vec<i64>,
     /// Cached `bit_position(label)` for the initial encoding, stamped

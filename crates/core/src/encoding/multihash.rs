@@ -25,9 +25,31 @@
 //! embeds nothing. A useful reduced setting must sit well above the
 //! binomial noise floor — `min_active ≥ ⌈3N/4⌉` is a sensible minimum
 //! (the paper frames this as trading computation for resilience).
+//!
+//! **Search schedule.** Candidate 0 is the input; candidate k > 0 draws
+//! one RNG word per item, in order, and replaces each item's γ LSBs. A
+//! candidate's codes are checked in (i, j) order, and it is decided by
+//! the early-exit rule: accepted once `required` codes carry the bit,
+//! rejected once too few unchecked codes remain to get there. Codes are
+//! hashed eight at a time ([`CodeTable::classify_batch`]), and one
+//! batch carries codes of several candidates in flight:
+//!
+//! * a candidate that one more failing code would reject takes one lane
+//!   per batch. Under the full convention that is every live candidate,
+//!   and it is rejected after about `2^τ / (2^τ − 1)` codes, so eight
+//!   codes of one candidate would mostly be hashed past its decision;
+//! * any other candidate takes all of its remaining pairs;
+//! * spare lanes open the next candidate.
+//!
+//! Nothing is opened at or past the lowest candidate known to succeed,
+//! and the search returns that candidate once every lower one is
+//! decided. A candidate's outcome depends only on its own values, and
+//! candidates draw the RNG in index order, so the values and
+//! `iterations` equal those of a one-candidate-at-a-time search.
+//!
+//! [`CodeTable::classify_batch`]: crate::codetable::CodeTable::classify_batch
 
 use super::{EmbedResult, EncoderScratch, SubsetEncoder, Vote};
-use crate::codetable::CodeTable;
 use crate::labeling::Label;
 use crate::scheme::Scheme;
 use wms_math::DetRng;
@@ -36,77 +58,40 @@ use wms_math::DetRng;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MultiHashEncoder;
 
-/// Fills `prefix` with running sums of `values` (`prefix[0] = 0`), the
-/// basis for O(1) contiguous-range means.
-fn fill_prefix_sums(prefix: &mut Vec<f64>, values: &[f64]) {
-    prefix.clear();
-    prefix.reserve(values.len() + 1);
+/// MD5 lanes per search batch (`CodeTable::classify_batch::<LANES>`).
+const LANES: usize = 8;
+
+/// Fills `prefix` (`values.len() + 1` long) with running sums of `values`
+/// (`prefix[0] = 0`), the basis for O(1) contiguous-range means.
+fn fill_prefix_sums(prefix: &mut [f64], values: &[f64]) {
     let mut acc = 0.0f64;
-    prefix.push(acc);
-    for &v in values {
+    prefix[0] = acc;
+    for (p, &v) in prefix[1..].iter_mut().zip(values) {
         acc += v;
-        prefix.push(acc);
+        *p = acc;
     }
+}
+
+/// A search candidate in flight. Its values and prefix sums occupy slot
+/// `slot` of [`EncoderScratch::inflight`] and [`EncoderScratch::prefix`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Candidate {
+    /// Candidate index (the input is 0); `iterations` is `index + 1`.
+    index: u64,
+    slot: usize,
+    /// Next pair (i, j) to hash.
+    i: usize,
+    j: usize,
+    /// Codes classified so far, and how many of them carry the bit.
+    checked: usize,
+    satisfied: usize,
+    decided: bool,
 }
 
 impl MultiHashEncoder {
     /// Number of m_ij averages for a subset of `a` items.
     pub fn pair_count(a: usize) -> usize {
         a * (a + 1) / 2
-    }
-
-    /// Counts how many m_ij averages of `values` carry `bit`'s code,
-    /// aborting early once success (`required` reached) or failure (too
-    /// few remaining) is decided. Returns the satisfied count.
-    ///
-    /// A code equals `convention_target(bit)` exactly when it classifies
-    /// to `Some(bit)` (the targets are the all-ones / all-zero codes), so
-    /// the memoized classification decides target hits too. Codes are
-    /// classified eight pairs at a time — the classifications are pure, so
-    /// looking a few pairs past an abort point changes nothing except
-    /// that the otherwise serial hash chains run interleaved.
-    fn count_satisfying(
-        scheme: &Scheme,
-        codes: &mut CodeTable,
-        prefix: &mut Vec<f64>,
-        values: &[f64],
-        label: &Label,
-        bit: bool,
-        required: usize,
-    ) -> usize {
-        let c = &scheme.codec;
-        let a = values.len();
-        let total = Self::pair_count(a);
-        fill_prefix_sums(prefix, values);
-        let mut satisfied = 0usize;
-        let mut checked = 0usize;
-        let mut pairs = (0..a).flat_map(|i| (i..a).map(move |j| (i, j)));
-        loop {
-            let mut raws = [0i64; 8];
-            let mut n = 0usize;
-            while n < 8 {
-                let Some((i, j)) = pairs.next() else { break };
-                let mean = (prefix[j + 1] - prefix[i]) / (j - i + 1) as f64;
-                raws[n] = c.quantize(mean);
-                n += 1;
-            }
-            if n == 0 {
-                return satisfied;
-            }
-            let classes = codes.classify_batch::<8>(scheme, label, &raws[..n]);
-            for &class in classes.iter().take(n) {
-                checked += 1;
-                if class == Some(bit) {
-                    satisfied += 1;
-                    if satisfied >= required {
-                        return satisfied;
-                    }
-                } else if satisfied + (total - checked) < required {
-                    // Even if all remaining pass we cannot reach required.
-                    return satisfied;
-                }
-            }
-        }
     }
 }
 
@@ -142,7 +127,10 @@ impl SubsetEncoder for MultiHashEncoder {
         }
         let p = &scheme.params;
         let c = &scheme.codec;
-        let total = Self::pair_count(values.len());
+        let a = values.len();
+        let total = Self::pair_count(a);
+        // `Scheme::new` rejects `min_active = 0`, so `required ≥ 1` and the
+        // early-exit rule decides every candidate by its last pair.
         let required = p.min_active.map(|m| m.min(total)).unwrap_or(total);
 
         scratch.raws.clear();
@@ -151,33 +139,111 @@ impl SubsetEncoder for MultiHashEncoder {
         // embedding is reproducible run-to-run.
         let seed = scheme.hash.hash_u64(&label.to_bytes());
         let mut rng = DetRng::seed_from_u64(seed);
+        scratch.inflight.resize(LANES * a, 0.0);
+        scratch.prefix.resize(LANES * (a + 1), 0.0);
 
-        scratch.candidate.clear();
-        scratch.candidate.extend_from_slice(values);
-        for iter in 0..p.max_iterations {
-            if iter > 0 {
-                for (k, &raw) in scratch.raws.iter().enumerate() {
-                    let pattern = rng.next_u64();
-                    scratch.candidate[k] = c.dequantize(c.replace_lsb(raw, p.lsb_bits, pattern));
-                }
-            }
-            let ok = Self::count_satisfying(
-                scheme,
-                &mut scratch.codes,
-                &mut scratch.prefix,
-                &scratch.candidate,
-                label,
-                bit,
-                required,
-            );
-            if ok >= required {
-                return Some(EmbedResult {
-                    values: scratch.candidate.clone(),
-                    iterations: iter + 1,
+        // Undecided candidates in index order. Each takes at least one
+        // lane per batch, so at most `LANES` are ever live.
+        let mut live = [Candidate::default(); LANES];
+        let mut n_live = 0usize;
+        let mut free_slots = (1u32 << LANES) - 1;
+        let mut next = 0u64;
+        // No candidate at or past `limit` is opened or kept: the budget,
+        // then the index of the lowest success so far (in slot `best`).
+        let mut limit = p.max_iterations;
+        let mut best: Option<usize> = None;
+        loop {
+            if n_live == 0 && next >= limit {
+                return best.map(|slot| EmbedResult {
+                    values: scratch.inflight[slot * a..][..a].to_vec(),
+                    iterations: limit + 1,
                 });
             }
+            let mut raws = [0i64; LANES];
+            let mut owner = [0usize; LANES];
+            let mut n = 0usize;
+            let mut k = 0usize;
+            while n < LANES && (k < n_live || next < limit) {
+                if k == n_live {
+                    let slot = free_slots.trailing_zeros() as usize;
+                    free_slots &= !(1 << slot);
+                    let vals = &mut scratch.inflight[slot * a..][..a];
+                    if next == 0 {
+                        vals.copy_from_slice(values);
+                    } else {
+                        for (v, &raw) in vals.iter_mut().zip(&scratch.raws) {
+                            let pattern = rng.next_u64();
+                            *v = c.dequantize(c.replace_lsb(raw, p.lsb_bits, pattern));
+                        }
+                    }
+                    fill_prefix_sums(&mut scratch.prefix[slot * (a + 1)..][..a + 1], vals);
+                    live[n_live] = Candidate {
+                        index: next,
+                        slot,
+                        ..Candidate::default()
+                    };
+                    n_live += 1;
+                    next += 1;
+                }
+                let cand = &mut live[k];
+                let remaining = total - cand.checked;
+                let take = if cand.satisfied + remaining == required {
+                    1
+                } else {
+                    remaining.min(LANES - n)
+                };
+                let prefix = &scratch.prefix[cand.slot * (a + 1)..][..a + 1];
+                for _ in 0..take {
+                    let (i, j) = (cand.i, cand.j);
+                    raws[n] = c.quantize((prefix[j + 1] - prefix[i]) / (j - i + 1) as f64);
+                    owner[n] = k;
+                    n += 1;
+                    (cand.i, cand.j) = if j + 1 < a {
+                        (i, j + 1)
+                    } else {
+                        (i + 1, i + 1)
+                    };
+                }
+                k += 1;
+            }
+            let classes = scratch
+                .codes
+                .classify_batch::<LANES>(scheme, label, &raws[..n]);
+            // Lanes past a candidate's decision are discarded.
+            for (&class, &k) in classes.iter().zip(&owner).take(n) {
+                let cand = &mut live[k];
+                if cand.decided {
+                    continue;
+                }
+                cand.checked += 1;
+                if class == Some(bit) {
+                    cand.satisfied += 1;
+                    if cand.satisfied >= required {
+                        cand.decided = true;
+                        if cand.index < limit {
+                            limit = cand.index;
+                            best = Some(cand.slot);
+                        }
+                    }
+                } else if cand.satisfied + (total - cand.checked) < required {
+                    cand.decided = true;
+                }
+            }
+            // Retire decided candidates and any above the best success.
+            // Nothing opens once a success is known, so the best's freed
+            // slot is never overwritten.
+            let mut kept = 0;
+            for k in 0..n_live {
+                let cand = live[k];
+                if cand.decided || cand.index >= limit {
+                    free_slots |= 1 << cand.slot;
+                } else {
+                    live[kept] = cand;
+                    kept += 1;
+                }
+            }
+            n_live = kept;
         }
-        None
     }
 
     fn detect_with(
@@ -204,6 +270,7 @@ impl SubsetEncoder for MultiHashEncoder {
             return singles;
         }
         let mut vote = singles;
+        scratch.prefix.resize(a + 1, 0.0);
         fill_prefix_sums(&mut scratch.prefix, values);
         for i in 0..a {
             for j in (i + 1)..a {
@@ -269,6 +336,7 @@ impl SubsetEncoder for MultiHashFlatMajority {
         let c = &scheme.codec;
         let a = values.len();
         let mut vote = Vote::empty();
+        scratch.prefix.resize(a + 1, 0.0);
         fill_prefix_sums(&mut scratch.prefix, values);
         for i in 0..a {
             for j in i..a {
